@@ -9,11 +9,19 @@ learners: both the ordering statistic and the coefficient threshold see the
 data on its original scale, so informative variances help them and
 column-standardized input gives them nothing to exploit. They use plain least
 squares with coefficient thresholding rather than any penalized regression.
+
+All p - 1 regressions come from one QR factorization X = QR of the sorted,
+centered data: the coefficients of column k on the columns before it are
+R[:k, :k]^-1 R[:k, k], so one triangular solve yields every fit. The data
+count as rank deficient when a predecessor column's pivot |R_jj| is at most
+eps * max(n, p) times the largest such pivot, the relative cutoff that
+least squares with the default ``rcond`` applies to singular values.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy import linalg
 
 from .errors import RankDeficientDataError
 from .metrics import Pdag, sample_r2, varsortability_scores
@@ -34,23 +42,26 @@ def _sort_regress(d: Dataset, scores: np.ndarray, threshold: float) -> Pdag:
     sd = d.values.std(axis=0, ddof=1)
     if np.any(sd == 0):
         raise RankDeficientDataError("a column has zero sample variance")
-    # Centering absorbs the intercept without touching coefficient scale.
-    X = d.values - d.values.mean(axis=0)
     # Stable sort: equal scores keep their original column order.
     order = np.argsort(scores, kind="stable")
-    edges: set[tuple[int, int]] = set()
-    for k in range(1, d.p):
-        target = int(order[k])
-        preds = order[:k]
-        coef, _, rank, _ = np.linalg.lstsq(X[:, preds], X[:, target], rcond=None)
-        if rank < k:
-            raise RankDeficientDataError(
-                "predecessor columns are collinear; regression is rank deficient"
-            )
-        for j, c in zip(preds, coef):
-            if abs(c) > threshold:
-                edges.add((int(j) + 1, target + 1))
-    return Pdag(d.p, frozenset(edges), frozenset())
+    # Centering absorbs the intercept without touching coefficient scale.
+    X = d.values[:, order]
+    X = X - X.mean(axis=0)
+    R = np.linalg.qr(X, mode="r")
+    # The last column is never a predecessor, so its pivot is not checked.
+    piv = np.abs(np.diag(R))[:-1]
+    if np.any(piv <= np.finfo(float).eps * max(X.shape) * piv.max(initial=0.0)):
+        raise RankDeficientDataError(
+            "predecessor columns are collinear; regression is rank deficient"
+        )
+    # coef[j, k] is the coefficient of sorted column j (< k) in the fit of k;
+    # entries with j >= k are exactly zero.
+    coef = linalg.solve_triangular(R[:-1, :-1], np.triu(R, 1)[:-1])
+    src, dst = np.nonzero(np.abs(coef) > threshold)
+    edges = frozenset(
+        (int(a) + 1, int(b) + 1) for a, b in zip(order[src], order[dst])
+    )
+    return Pdag(d.p, edges, frozenset())
 
 
 def var_sort_regress(d: Dataset, threshold: float = DEFAULT_THRESHOLD) -> Pdag:

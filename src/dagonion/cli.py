@@ -21,6 +21,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import asdict, astuple
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -113,19 +115,27 @@ def cmd_gen_dag(args) -> list[Path]:
     return [out]
 
 
+def make_model(g: Dag, method: str, rng: np.random.Generator):
+    """Parameterize ``g`` by a ``BENCH_METHODS`` name; returns ``(R, params)``.
+
+    ``R`` is the model's implied correlation matrix. A ``-std`` suffix
+    rescales a zarx or tetrad model to unit implied variances.
+    """
+    if method == "dao":
+        return dao_sample(g, rng)
+    params = zarx_params(g, rng) if method.startswith("zarx") else tetrad_params(g, rng)
+    if method.endswith("-std"):
+        params = standardize(params)
+    return cov_to_corr(implied_covariance(params)), params
+
+
 def cmd_gen_model(args) -> list[Path]:
     g, order = _load_graph(args.graph)
-    rng = _rng(args.seed)
-    if args.method == "dao":
-        R, params = dao_sample(g, rng)
-        label = "dao"
-    else:
-        params = zarx_params(g, rng) if args.method == "zarx" else tetrad_params(g, rng)
-        label = args.method
-        if args.standardize:
-            params = standardize(params)
-            label += "-std"
-        R = cov_to_corr(implied_covariance(params))
+    # dao models already have unit variances, so --standardize leaves them be.
+    label = args.method
+    if args.standardize and label != "dao":
+        label += "-std"
+    R, params = make_model(g, label, _rng(args.seed))
     out = _resolve_out(args.out)
     write_json(
         out,
@@ -177,22 +187,12 @@ def cmd_eval(args) -> list[Path]:
         est = pdag_from_dict(read_json(args.est_graph), where=str(args.est_graph))
         counts = compare_graphs(truth, est)
         pr = precision_recall(counts)
-        report["adjacency"] = {
-            "tp": counts.adjacency.tp,
-            "fp": counts.adjacency.fp,
-            "fn": counts.adjacency.fn,
-            "tn": counts.adjacency.tn,
-            "precision": pr.adjacency_precision,
-            "recall": pr.adjacency_recall,
-        }
-        report["orientation"] = {
-            "tp": counts.orientation.tp,
-            "fp": counts.orientation.fp,
-            "fn": counts.orientation.fn,
-            "tn": counts.orientation.tn,
-            "precision": pr.orientation_precision,
-            "recall": pr.orientation_recall,
-        }
+        for block in ("adjacency", "orientation"):
+            report[block] = {
+                **asdict(getattr(counts, block)),
+                "precision": getattr(pr, f"{block}_precision"),
+                "recall": getattr(pr, f"{block}_recall"),
+            }
     report["r2_rank_corr"] = None
     report["var_rank_corr"] = None
     if args.data:
@@ -224,25 +224,23 @@ def cmd_eval(args) -> list[Path]:
     return []
 
 
-_BENCH_STATS = ("r2_pop", "r2_sample", "var_sample")
-_BENCH_LEARNERS = ("varsr", "r2sr")
-_BENCH_PR = (
-    "adj_precision",
-    "adj_recall",
-    "ori_precision",
-    "ori_recall",
+# Per-replication statistics, in the order _bench_cell collects them; each
+# learner's four follow PrecisionRecall's field order.
+_BENCH_KEYS = (
+    "r2_pop",
+    "r2_sample",
+    "var_sample",
+    *(
+        f"{learner}_{m}"
+        for learner in ("varsr", "r2sr")
+        for m in ("adj_precision", "adj_recall", "ori_precision", "ori_recall")
+    ),
 )
-
-
-def _bench_columns() -> list[str]:
-    cols = ["p", "shape", "method", "n", "reps", "failures"]
-    for stat in _BENCH_STATS:
-        cols += [f"{stat}_mean", f"{stat}_sd"]
-    for learner in _BENCH_LEARNERS:
-        for m in _BENCH_PR:
-            cols += [f"{learner}_{m}_mean", f"{learner}_{m}_sd"]
-    cols += ["master_seed", "version"]
-    return cols
+_BENCH_COLUMNS = (
+    "p", "shape", "method", "n", "reps", "failures",
+    *(f"{key}_{agg}" for key in _BENCH_KEYS for agg in ("mean", "sd")),
+    "master_seed", "version",
+)
 
 
 def _bench_cell(
@@ -256,73 +254,33 @@ def _bench_cell(
     error_kind: str,
     seed: int,
     cell_idx: int,
-) -> dict:
-    """One grid cell: per-rep pipeline with failures counted, not fatal."""
-    samples: dict[str, list[float]] = {}
+) -> list:
+    """One grid cell: per-rep pipeline with numerical failures counted, not
+    fatal. Returns the row's values for the columns before ``master_seed``."""
+    samples: list[list[float]] = []
     failures = 0
     for rep in range(reps):
         rng = _rng(seed, spawn_key=(cell_idx, rep))
         try:
-            g = er_dag(p, avg_degree, rng)
-            g, _ = _apply_shape(g, shape, rng)
-            if method == "dao":
-                R, params = dao_sample(g, rng)
-            else:
-                params = (
-                    zarx_params(g, rng)
-                    if method.startswith("zarx")
-                    else tetrad_params(g, rng)
-                )
-                if method.endswith("-std"):
-                    params = standardize(params)
-                R = cov_to_corr(implied_covariance(params))
+            g, _ = _apply_shape(er_dag(p, avg_degree, rng), shape, rng)
+            R, params = make_model(g, method, rng)
             idx = _causal_index(source_first_order(g))
-            rep_vals = {
-                "r2_pop": sortability_rank_corr(
-                    population_r2(R), idx, largest_first=True
-                )
-            }
+            rep_vals = [sortability_rank_corr(population_r2(R), idx, largest_first=True)]
             data = simulate(params, error_kind, n, rng)
-            rep_vals["r2_sample"] = sortability_rank_corr(
-                sample_r2(data), idx, largest_first=True
-            )
-            rep_vals["var_sample"] = sortability_rank_corr(
-                varsortability_scores(data), idx, largest_first=True
-            )
-            for learner, fit in (
-                ("varsr", var_sort_regress),
-                ("r2sr", r2_sort_regress),
-            ):
+            for scores in (sample_r2(data), varsortability_scores(data)):
+                rep_vals.append(sortability_rank_corr(scores, idx, largest_first=True))
+            for fit in (var_sort_regress, r2_sort_regress):
                 pr = precision_recall(compare_graphs(g, fit(data, threshold)))
-                rep_vals[f"{learner}_adj_precision"] = pr.adjacency_precision
-                rep_vals[f"{learner}_adj_recall"] = pr.adjacency_recall
-                rep_vals[f"{learner}_ori_precision"] = pr.orientation_precision
-                rep_vals[f"{learner}_ori_recall"] = pr.orientation_recall
-        except (NumericalError, ValueError):
+                rep_vals.extend(astuple(pr))
+        except NumericalError:
             failures += 1
             continue
-        for key, val in rep_vals.items():
-            samples.setdefault(key, []).append(float(val))
-    row = {
-        "p": p,
-        "shape": shape,
-        "method": method,
-        "n": n,
-        "reps": reps,
-        "failures": failures,
-    }
-    for stat in _BENCH_STATS:
-        vals = samples.get(stat, [])
-        row[f"{stat}_mean"] = float(np.mean(vals)) if vals else float("nan")
-        row[f"{stat}_sd"] = float(np.std(vals, ddof=1)) if len(vals) > 1 else float("nan")
-    for learner in _BENCH_LEARNERS:
-        for m in _BENCH_PR:
-            key = f"{learner}_{m}"
-            vals = samples.get(key, [])
-            row[f"{key}_mean"] = float(np.mean(vals)) if vals else float("nan")
-            row[f"{key}_sd"] = (
-                float(np.std(vals, ddof=1)) if len(vals) > 1 else float("nan")
-            )
+        samples.append(rep_vals)
+    row = [p, shape, method, n, reps, failures]
+    for j in range(len(_BENCH_KEYS)):
+        vals = [sample[j] for sample in samples]
+        row.append(float(np.mean(vals)) if vals else float("nan"))
+        row.append(float(np.std(vals, ddof=1)) if len(vals) > 1 else float("nan"))
     return row
 
 
@@ -347,36 +305,30 @@ def cmd_bench(args) -> list[Path]:
     for m in methods:
         if m not in BENCH_METHODS:
             raise ValueError(f"unknown method {m!r}; choose from {BENCH_METHODS}")
-    cols = _bench_columns()
-    rows = []
-    cell_idx = 0
-    for p in p_list:
-        for shape in shapes:
-            for method in methods:
-                for n in n_list:
-                    row = _bench_cell(
-                        p,
-                        shape,
-                        method,
-                        n,
-                        args.reps,
-                        args.avg_degree,
-                        args.threshold,
-                        args.error,
-                        args.seed,
-                        cell_idx,
-                    )
-                    row["master_seed"] = args.seed
-                    row["version"] = __version__
-                    rows.append(row)
-                    cell_idx += 1
-    lines = [",".join(cols)]
-    for row in rows:
-        lines.append(
-            ",".join(
-                repr(v) if isinstance(v, float) else str(v) for v in (row[c] for c in cols)
-            )
+    if args.reps < 1:
+        raise ValueError(f"need at least one replication, got --reps {args.reps}")
+    if not args.threshold >= 0:
+        raise ValueError(f"threshold must be nonnegative, got {args.threshold}")
+    if not 0 <= args.avg_degree <= min(p_list) - 1:
+        raise ValueError(
+            f"average degree {args.avg_degree} must lie in [0, p-1] for every p in {p_list}"
         )
+    if min(n_list) <= max(p_list):
+        raise ValueError(
+            f"every sample size must exceed every vertex count, got n={min(n_list)} "
+            f"with p={max(p_list)}"
+        )
+    lines = [",".join(_BENCH_COLUMNS)]
+    # n varies fastest; cell_idx keys each cell's random streams.
+    for cell_idx, (p, shape, method, n) in enumerate(
+        product(p_list, shapes, methods, n_list)
+    ):
+        row = _bench_cell(
+            p, shape, method, n, args.reps, args.avg_degree, args.threshold,
+            args.error, args.seed, cell_idx,
+        )
+        row += [args.seed, __version__]
+        lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
     out = _resolve_out(args.out)
     atomic_write_text(out, "\n".join(lines) + "\n")
     return [out]

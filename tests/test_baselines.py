@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dagonion import (
     Dag,
@@ -11,10 +13,16 @@ from dagonion import (
     er_dag,
     precision_recall,
     r2_sort_regress,
+    sample_r2,
+    shuffle_labels,
     simulate,
+    tetrad_params,
     var_sort_regress,
+    varsortability_scores,
     zarx_params,
 )
+from dagonion.baselines import _sort_regress
+from util import lstsq_sort_regress
 
 
 def _independent_data(n=10_000, p=5, seed=0):
@@ -98,3 +106,89 @@ class TestSortRegress:
                 precision_recall(compare_graphs(g, var_sort_regress(dd))).adjacency_recall
             )
         assert np.mean(zarx_rec) > np.mean(dao_rec)
+
+
+LEARNERS = ((var_sort_regress, varsortability_scores), (r2_sort_regress, sample_r2))
+
+
+def _outcome(fit, *args):
+    try:
+        return fit(*args).directed
+    except RankDeficientDataError:
+        return "rank deficient"
+
+
+class TestLstsqOracle:
+    """The one-factorization learners give the per-column least-squares
+    learner's edges, and raise exactly where it raises."""
+
+    @pytest.mark.parametrize("method", ["dao", "zarx", "tetrad"])
+    def test_matches_oracle_on_models(self, method):
+        rng = np.random.default_rng(8)
+        for shuffle in (False, True):
+            for n in (12, 500):  # n = p + 2 and n >> p
+                g = er_dag(10, 3, rng)
+                if shuffle:
+                    g, _ = shuffle_labels(g, rng)
+                if method == "dao":
+                    _, params = dao_sample(g, rng)
+                else:
+                    params = (zarx_params if method == "zarx" else tetrad_params)(g, rng)
+                d = simulate(params, "gaussian", n, rng)
+                for fit, scores in LEARNERS:
+                    for threshold in (0.0, 0.1, np.inf):
+                        assert _outcome(fit, d, threshold) == _outcome(
+                            lstsq_sort_regress, d, scores(d), threshold
+                        )
+
+    def test_tied_scores_keep_stable_order(self):
+        rng = np.random.default_rng(9)
+        g = er_dag(6, 3, rng)
+        g, _ = shuffle_labels(g, rng)
+        d = simulate(zarx_params(g, rng), "gaussian", 300, rng)
+        flat = np.zeros(6)
+        est = _sort_regress(d, flat, 0.0)
+        assert est.directed == lstsq_sort_regress(d, flat, 0.0).directed
+        # With every score tied the order is the column order, so every
+        # column regresses on all earlier columns.
+        assert est.directed == frozenset((a, b) for a in range(1, 7) for b in range(a + 1, 7))
+        halves = np.array([1.0, 0.0, 1.0, 0.0, 1.0, 0.0])
+        assert _sort_regress(d, halves, 0.1).directed == (
+            lstsq_sort_regress(d, halves, 0.1).directed
+        )
+
+    @pytest.mark.parametrize("delta", [10.0**-k for k in range(2, 17, 2)])
+    def test_near_collinear_columns(self, delta):
+        # Columns x and x + delta * noise, then y. Ordered by variance the
+        # near-collinear pair are both predecessors of y; with y first they
+        # are the last two columns, and only the earlier one is a predecessor.
+        rng = np.random.default_rng(10)
+        x = rng.standard_normal(60)
+        vals = np.column_stack(
+            [x, x + delta * rng.standard_normal(60), 3.0 * rng.standard_normal(60)]
+        )
+        d = Dataset(vals, ("a", "b", "c"))
+        for scores in (varsortability_scores(d), np.array([1.0, 2.0, 0.0])):
+            assert _outcome(_sort_regress, d, scores, 0.1) == _outcome(
+                lstsq_sort_regress, d, scores, 0.1
+            )
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        p=st.integers(2, 12),
+        extra=st.integers(2, 188),
+        seed=st.integers(0, 2**32 - 1),
+        threshold=st.floats(min_value=0.0, allow_nan=False),
+    )
+    def test_property_matches_oracle_and_is_acyclic(self, p, extra, seed, threshold):
+        n = min(p + extra, 200)
+        rng = np.random.default_rng(seed)
+        # Unit-lower mixing and column scales in [0.5, 3] keep the data well
+        # conditioned while giving the regressions nonzero coefficients.
+        mix = np.eye(p) + np.tril(rng.uniform(-1.0, 1.0, (p, p)), -1)
+        vals = rng.standard_normal((n, p)) @ mix.T * rng.uniform(0.5, 3.0, p)
+        d = Dataset(vals, tuple(f"X{i}" for i in range(1, p + 1)))
+        for fit, scores in LEARNERS:
+            est = fit(d, threshold)
+            assert est.directed == lstsq_sort_regress(d, scores(d), threshold).directed
+            Dag(est.p, est.directed)  # raises if cyclic

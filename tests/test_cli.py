@@ -240,14 +240,30 @@ class TestBench:
         assert "r2_pop_mean" in header and "varsr_adj_recall_mean" in header
 
     def test_failures_counted_not_fatal(self, tmp_path):
+        # Standardizing a complete zarx graph at p = 30 hits a numerically
+        # singular parent block in every replication.
         out = tmp_path / "r.csv"
-        assert run("bench", "--reps", 2, "--p-list", 10, "--avg-degree", 2,
-                   "--shapes", "er", "--methods", "zarx", "--sample-sizes", 5,
+        assert run("bench", "--reps", 2, "--p-list", 30, "--avg-degree", 29,
+                   "--shapes", "er", "--methods", "zarx-std", "--sample-sizes", 200,
                    "--seed", 3, "--out", out) == 0
         lines = out.read_text().splitlines()
         row = dict(zip(lines[0].split(","), lines[1].split(",")))
         assert row["failures"] == "2"
         assert row["r2_pop_mean"] == "nan"
+
+    @pytest.mark.parametrize("bad", [
+        ("--p-list", 5, "--avg-degree", 9),
+        ("--p-list", "5,30", "--sample-sizes", 20),
+        ("--reps", 0),
+        ("--threshold", -0.5),
+        ("--threshold", "nan"),
+    ])
+    def test_invalid_grid_is_usage_error(self, tmp_path, capsys, bad):
+        out = tmp_path / "x.csv"
+        assert run("bench", "--reps", 1, "--p-list", 5, "--avg-degree", 2,
+                   "--sample-sizes", 100, "--seed", 1, "--out", out, *bad) == 2
+        assert "error[usage]" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_rejects_unknown_method(self, tmp_path):
         assert run("bench", "--reps", 1, "--p-list", 5, "--avg-degree", 2,

@@ -6,7 +6,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from dagonion import CyclicGraphError, Dag, Pdag
+from dagonion import CyclicGraphError, Dag, Dataset, Pdag, RankDeficientDataError
 
 
 def all_pairs(p: int) -> list[tuple[int, int]]:
@@ -104,3 +104,32 @@ def is_source_first(order: tuple[int, ...], g: Dag) -> bool:
         elif seen_nonsource:
             return False
     return True
+
+
+def lstsq_sort_regress(d: Dataset, scores: np.ndarray, threshold: float) -> Pdag:
+    """Sort-and-regress with one least-squares solve per column: the oracle
+    for the single-factorization learners."""
+    if threshold < 0 or np.isnan(threshold):
+        raise ValueError(f"threshold must be nonnegative, got {threshold}")
+    if d.n <= d.p:
+        raise RankDeficientDataError(
+            f"need more rows than columns, got n={d.n}, p={d.p}"
+        )
+    sd = d.values.std(axis=0, ddof=1)
+    if np.any(sd == 0):
+        raise RankDeficientDataError("a column has zero sample variance")
+    X = d.values - d.values.mean(axis=0)
+    order = np.argsort(scores, kind="stable")
+    edges: set[tuple[int, int]] = set()
+    for k in range(1, d.p):
+        target = int(order[k])
+        preds = order[:k]
+        coef, _, rank, _ = np.linalg.lstsq(X[:, preds], X[:, target], rcond=None)
+        if rank < k:
+            raise RankDeficientDataError(
+                "predecessor columns are collinear; regression is rank deficient"
+            )
+        for j, c in zip(preds, coef):
+            if abs(c) > threshold:
+                edges.add((int(j) + 1, target + 1))
+    return Pdag(d.p, frozenset(edges), frozenset())
