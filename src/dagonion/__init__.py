@@ -28,7 +28,7 @@ from .metrics import (
     sortability_rank_corr,
     varsortability_scores,
 )
-from .onion import MpiiDraw, dao_sample, parent_first_permutation, sample_mpii
+from .onion import dao_sample, sample_mpii
 from .sem import (
     SemParameters,
     cov_to_corr,
@@ -48,9 +48,7 @@ __all__ = [
     "sfo_rewire",
     "shuffle_labels",
     "source_first_order",
-    "MpiiDraw",
     "sample_mpii",
-    "parent_first_permutation",
     "dao_sample",
     "SemParameters",
     "zarx_params",

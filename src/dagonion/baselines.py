@@ -27,12 +27,18 @@ from .errors import RankDeficientDataError
 from .metrics import Pdag, sample_r2, varsortability_scores
 from .simdata import Dataset
 
-__all__ = ["var_sort_regress", "r2_sort_regress"]
+__all__ = ["sort_regress", "var_sort_regress", "r2_sort_regress"]
 
 DEFAULT_THRESHOLD = 0.1
 
 
-def _sort_regress(d: Dataset, scores: np.ndarray, threshold: float) -> Pdag:
+def sort_regress(d: Dataset, scores: np.ndarray, threshold: float) -> Pdag:
+    """Order the columns by ascending ``scores``, then regress and threshold.
+
+    Equal scores keep the column order. Raises ValueError for a negative or
+    NaN threshold and RankDeficientDataError when n <= p, a column is
+    constant, or predecessor columns are collinear.
+    """
     if threshold < 0 or np.isnan(threshold):
         raise ValueError(f"threshold must be nonnegative, got {threshold}")
     if d.n <= d.p:
@@ -66,7 +72,7 @@ def _sort_regress(d: Dataset, scores: np.ndarray, threshold: float) -> Pdag:
 
 def var_sort_regress(d: Dataset, threshold: float = DEFAULT_THRESHOLD) -> Pdag:
     """Order by ascending sample variance, then regress and threshold."""
-    return _sort_regress(d, varsortability_scores(d), threshold)
+    return sort_regress(d, varsortability_scores(d), threshold)
 
 
 def r2_sort_regress(d: Dataset, threshold: float = DEFAULT_THRESHOLD) -> Pdag:
@@ -77,4 +83,4 @@ def r2_sort_regress(d: Dataset, threshold: float = DEFAULT_THRESHOLD) -> Pdag:
     any column; the coefficients and threshold are not, so the estimate
     still depends on the scale of the input columns.
     """
-    return _sort_regress(d, sample_r2(d), threshold)
+    return sort_regress(d, sample_r2(d), threshold)

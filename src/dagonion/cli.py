@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .baselines import DEFAULT_THRESHOLD, r2_sort_regress, var_sort_regress
+from .baselines import DEFAULT_THRESHOLD, sort_regress
 from .errors import NumericalError, SchemaError
 from .fileio import (
     atomic_write_text,
@@ -267,10 +267,11 @@ def _bench_cell(
             idx = _causal_index(source_first_order(g))
             rep_vals = [sortability_rank_corr(population_r2(R), idx, largest_first=True)]
             data = simulate(params, error_kind, n, rng)
-            for scores in (sample_r2(data), varsortability_scores(data)):
+            r2, var = sample_r2(data), varsortability_scores(data)
+            for scores in (r2, var):
                 rep_vals.append(sortability_rank_corr(scores, idx, largest_first=True))
-            for fit in (var_sort_regress, r2_sort_regress):
-                pr = precision_recall(compare_graphs(g, fit(data, threshold)))
+            for scores in (var, r2):
+                pr = precision_recall(compare_graphs(g, sort_regress(data, scores, threshold)))
                 rep_vals.extend(astuple(pr))
         except NumericalError:
             failures += 1

@@ -113,54 +113,37 @@ def compare_graphs(truth: Dag, estimate: Pdag) -> ConfusionCounts:
         raise ValueError(
             f"vertex counts differ: truth {truth.p}, estimate {estimate.p}"
         )
-    true_edges = truth.edges
-    est_dir = estimate.directed
-    est_und = estimate.undirected
-    a_tp = a_fp = a_fn = a_tn = 0
-    o_tp = o_fp = o_fn = o_tn = 0
-    for a in range(1, truth.p + 1):
-        for b in range(a + 1, truth.p + 1):
-            if (a, b) in true_edges:
-                true_dir = (a, b)
-            elif (b, a) in true_edges:
-                true_dir = (b, a)
-            else:
-                true_dir = None
-            if (a, b) in est_dir:
-                est = (a, b)
-            elif (b, a) in est_dir:
-                est = (b, a)
-            elif (a, b) in est_und:
-                est = "undirected"
-            else:
-                est = None
-            if true_dir is not None:
-                if est == true_dir:
-                    a_tp += 1
-                    o_tp += 1
-                    o_tn += 1
-                elif isinstance(est, tuple):
-                    a_tp += 1
-                    o_fp += 1
-                    o_fn += 1
-                elif est == "undirected":
-                    a_tp += 1
-                    o_fn += 1
-                else:
-                    a_fn += 1
-                    o_fn += 1
-            else:
-                if isinstance(est, tuple):
-                    a_fp += 1
-                    o_fp += 1
-                elif est == "undirected":
-                    a_fp += 1
-                else:
-                    a_tn += 1
+    # Masks over the unordered pairs (a, b), a < b; undirected pairs are
+    # stored as (min, max), so their mask needs no transpose.
+    upper = np.triu_indices(truth.p, 1)
+    true_ab = _adjacency(truth.p, truth.edges)
+    est_ab = _adjacency(truth.p, estimate.directed)
+    t_ab, e_ab = true_ab[upper], est_ab[upper]
+    true_edge = t_ab | true_ab.T[upper]
+    est_dir = e_ab | est_ab.T[upper]
+    est_edge = est_dir | _adjacency(truth.p, estimate.undirected)[upper]
+    # Each edge has one direction, so a->b flags that match mean the true
+    # edge was estimated with its own orientation.
+    agree = int(np.sum(true_edge & est_dir & (t_ab == e_ab)))
     return ConfusionCounts(
-        adjacency=PairCounts(a_tp, a_fp, a_fn, a_tn),
-        orientation=PairCounts(o_tp, o_fp, o_fn, o_tn),
+        adjacency=PairCounts(
+            int(np.sum(true_edge & est_edge)),
+            int(np.sum(~true_edge & est_edge)),
+            int(np.sum(true_edge & ~est_edge)),
+            int(np.sum(~true_edge & ~est_edge)),
+        ),
+        orientation=PairCounts(
+            agree, int(np.sum(est_dir)) - agree, int(np.sum(true_edge)) - agree, agree
+        ),
     )
+
+
+def _adjacency(p: int, edges: frozenset[tuple[int, int]]) -> np.ndarray:
+    """p x p boolean matrix with [a-1, b-1] set for each pair (a, b)."""
+    ab = np.array(list(edges), dtype=np.intp).reshape(-1, 2) - 1
+    mask = np.zeros((p, p), dtype=bool)
+    mask[ab[:, 0], ab[:, 1]] = True
+    return mask
 
 
 def _ratio(num: int, den: int) -> float:

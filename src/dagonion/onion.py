@@ -1,19 +1,20 @@
 """Uniform sampling of correlation matrices Markov to a DAG.
 
-The sampler builds the correlation matrix one row/column at a time, like
-peeling an onion in reverse. After placing the m source vertices with an
-identity block, each later vertex i+1 receives a correlation vector chosen
-so that (a) the vertex is conditionally independent of its non-parent
-predecessors given its parents, and (b) the completed matrix is uniformly
-distributed over the set of correlation matrices satisfying those
-constraints. Each layer also yields the vertex's regression coefficients on
-its parents and its conditional (error) variance, so the draw doubles as a
-standardized SEM whose implied covariance reproduces the matrix exactly.
+The sampler builds the correlation matrix one vertex at a time, like
+peeling an onion in reverse, walking the graph's source-first consistent
+order in its own labels. The sources come first and keep identity rows.
+Each later vertex v with parents pa draws w from the open unit k-ball,
+k = |pa|; with L the Cholesky root of the parents' k x k correlation block,
+v gets regression coefficients z = L^-T w on its parents and correlations
+R[prev, pa] z with the vertices prev placed before it. This makes (a) v
+conditionally independent of its non-parent predecessors given its parents,
+and (b) the completed matrix uniformly distributed over the set of
+correlation matrices satisfying those constraints. The conditional (error)
+variance of v is 1 - w . w, so the draw doubles as a standardized SEM whose
+implied covariance reproduces the matrix exactly.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg
@@ -22,91 +23,38 @@ from .errors import CholeskyFailure, NumericalError
 from .graph import Dag, source_first_order
 from .sem import SemParameters
 
-__all__ = [
-    "MpiiDraw",
-    "sample_mpii",
-    "parent_first_permutation",
-    "dao_sample",
-]
+__all__ = ["sample_mpii", "dao_sample"]
 
 _MAX_REDRAWS = 100
 
 
-@dataclass(frozen=True)
-class MpiiDraw:
-    """A radially symmetric draw from the open unit ball, zero-padded.
-
-    ``w`` has length ``pad_to``; only the first k entries may be nonzero and
-    w . w < 1 strictly. ``gamma`` records the shape parameter used.
-    """
-
-    w: np.ndarray
-    gamma: float
-
-
-def sample_mpii(
-    k: int, gamma: float, pad_to: int, rng: np.random.Generator
-) -> MpiiDraw:
-    """Sample w = sqrt(q) * u padded with zeros to length ``pad_to``.
+def sample_mpii(k: int, gamma: float, rng: np.random.Generator) -> np.ndarray:
+    """Sample w = sqrt(q) * u, a radially symmetric point of the open unit k-ball.
 
     q follows beta(k/2, gamma + 1/2) and u is uniform on the unit k-sphere
-    (a normalized standard normal vector). For k = 0 the zero vector is
-    returned. Draws with 1 - q below 1e-12, or with an underflowed direction
-    norm, are redrawn up to 100 times so the squared norm stays strictly
-    inside the unit ball; persistent degeneracy raises NumericalError.
+    (a normalized standard normal vector); w . w < 1 strictly. For k = 0 the
+    empty vector is returned and ``rng`` is not used. Draws with 1 - q below
+    1e-12, or with an underflowed direction norm, are redrawn up to 100 times
+    so the squared norm stays strictly inside the unit ball; persistent
+    degeneracy raises NumericalError.
 
-    Raises ValueError for gamma <= -1/2 or k < 0 or pad_to < k.
+    Raises ValueError for gamma <= -1/2 or k < 0.
     """
     if gamma <= -0.5:
         raise ValueError(f"shape parameter must exceed -1/2, got {gamma}")
     if k < 0:
         raise ValueError(f"dimension must be nonnegative, got {k}")
-    if pad_to < k:
-        raise ValueError(f"pad length {pad_to} is smaller than dimension {k}")
-    w = np.zeros(pad_to)
     if k == 0:
-        return MpiiDraw(w, float(gamma))
+        return np.zeros(0)
     for _ in range(_MAX_REDRAWS):
         q = rng.beta(k / 2.0, gamma + 0.5)
         y = rng.standard_normal(k)
         norm = float(np.linalg.norm(y))
         if 1.0 - q >= 1e-12 and norm >= 1e-300:
-            w[:k] = np.sqrt(q) * y / norm
-            return MpiiDraw(w, float(gamma))
+            return np.sqrt(q) * y / norm
     raise NumericalError(
         f"degenerate unit-ball draw persisted through {_MAX_REDRAWS} retries"
     )
-
-
-def _parent_first_indices(g: Dag, i: int) -> np.ndarray:
-    """0-based positions 0..i-1 reordered so parents of vertex i+1 come first."""
-    parent_set = set(g.parents(i + 1))
-    parents = [v - 1 for v in sorted(parent_set) if v <= i]
-    rest = [j for j in range(i) if j + 1 not in parent_set]
-    return np.asarray(parents + rest, dtype=np.intp)
-
-
-def parent_first_permutation(g: Dag, i: int) -> np.ndarray:
-    """The i x i permutation matrix that lists parents of vertex i+1 first.
-
-    Position a of the permuted basis holds original index perm[a], where perm
-    puts the parents of vertex i+1 (ascending) before the non-parents
-    (ascending). Orthogonal, so its transpose is its inverse. Requires
-    1 <= i < p and that vertices 1..i can precede vertex i+1 (every parent of
-    i+1 lies in 1..i).
-    """
-    if not 1 <= i < g.p:
-        raise ValueError(f"layer index must satisfy 1 <= i < p, got {i}")
-    bad = [v for v in g.parents(i + 1) if v > i]
-    if bad:
-        raise ValueError(
-            f"vertex {i + 1} has parent {bad[0]} outside 1..{i}; "
-            "the graph is not in a consistent label order at this layer"
-        )
-    perm = _parent_first_indices(g, i)
-    P = np.zeros((i, i))
-    P[perm, np.arange(i)] = 1.0
-    return P
 
 
 def dao_sample(
@@ -118,55 +66,40 @@ def dao_sample(
     positive definite, params.B holds the regression coefficients of each
     vertex on its parents (zero elsewhere), params.omega the conditional
     variances in (0, 1], and R equals the implied covariance of params up to
-    floating point. Graphs whose labels are not already in a source-first
-    consistent order are relabeled internally and the results mapped back.
+    floating point. The vertex at position i of ``source_first_order(g)``
+    uses shape parameter (p - i) / 2 with i counted from 0, and its parents
+    are taken in walk order, which fixes the Cholesky root and so the draw.
 
-    Raises CholeskyFailure if a layer's leading principal submatrix loses
-    positive definiteness numerically.
+    Raises CholeskyFailure if a parent block loses positive definiteness
+    numerically.
     """
     p = g.p
     order = source_first_order(g)
-    identity_order = order == tuple(range(1, p + 1))
-    if identity_order:
-        h = g
-    else:
-        pos = {v: t + 1 for t, v in enumerate(order)}
-        h = Dag(p, frozenset((pos[a], pos[b]) for a, b in g.edges))
-
-    parent_map = h.parent_map()
-    m = sum(1 for v in range(1, p + 1) if not parent_map[v])
+    walk = np.asarray(order, dtype=np.intp) - 1
+    position = {v: i for i, v in enumerate(order)}
+    parent_map = g.parent_map()
 
     R = np.eye(p)
     B = np.zeros((p, p))
     omega = np.ones(p)
-    for i in range(m, p):
-        # Layer i extends the i x i leading block to cover vertex i+1.
-        parents0 = np.asarray(parent_map[i + 1], dtype=np.intp) - 1
-        k = len(parents0)
-        gamma = (p - i) / 2.0
-        draw = sample_mpii(k, gamma, i, rng)
-        w = draw.w
-        nonparents0 = np.setdiff1d(np.arange(i, dtype=np.intp), parents0)
-        perm = np.concatenate([parents0, nonparents0])
+    for i, v in enumerate(order):
+        if not parent_map[v]:
+            continue  # a source: identity row, no draw
+        pa = np.asarray(sorted(parent_map[v], key=position.__getitem__)) - 1
+        w = sample_mpii(len(pa), (p - i) / 2.0, rng)
+        rows = R[pa]
         try:
-            L = np.linalg.cholesky(R[np.ix_(perm, perm)])
+            L = np.linalg.cholesky(rows[:, pa])
         except np.linalg.LinAlgError as exc:
             raise CholeskyFailure(
-                f"leading block at layer {i} lost positive definiteness"
+                f"parent block of vertex {v} lost positive definiteness"
             ) from exc
-        r = np.empty(i)
-        r[perm] = L @ w
-        R[i, :i] = r
-        R[:i, i] = r
-        if k:
-            z = linalg.solve_triangular(L, w, lower=True, trans="T")
-            B[i, parents0] = z[:k]
-        omega[i] = 1.0 - float(w @ w)
-
-    if not identity_order:
-        posof = np.empty(p, dtype=np.intp)
-        posof[np.asarray(order, dtype=np.intp) - 1] = np.arange(p)
-        R = R[np.ix_(posof, posof)]
-        B = B[np.ix_(posof, posof)]
-        omega = omega[posof]
+        z = linalg.solve_triangular(L, w, lower=True, trans="T")
+        # Columns of vertices not yet placed are unfilled; keep only prev.
+        prev = walk[:i]
+        r = (z @ rows)[prev]
+        R[v - 1, prev] = r
+        R[prev, v - 1] = r
+        B[v - 1, pa] = z
+        omega[v - 1] = 1.0 - float(w @ w)
     return R, SemParameters(g, B, omega)

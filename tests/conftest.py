@@ -1,4 +1,13 @@
-"""Pytest hooks: collect acceptance-test outcomes and print a summary block."""
+"""Pytest hooks: collect acceptance-test outcomes and print a summary block.
+
+Property tests run under one hypothesis profile: derandomized, with no
+example database and no deadline, so the suite is deterministic.
+"""
+
+from hypothesis import settings
+
+settings.register_profile("dagonion", derandomize=True, database=None, deadline=None)
+settings.load_profile("dagonion")
 
 _ACCEPTANCE = {}
 

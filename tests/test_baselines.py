@@ -21,7 +21,7 @@ from dagonion import (
     varsortability_scores,
     zarx_params,
 )
-from dagonion.baselines import _sort_regress
+from dagonion.baselines import sort_regress
 from util import lstsq_sort_regress
 
 
@@ -147,13 +147,13 @@ class TestLstsqOracle:
         g, _ = shuffle_labels(g, rng)
         d = simulate(zarx_params(g, rng), "gaussian", 300, rng)
         flat = np.zeros(6)
-        est = _sort_regress(d, flat, 0.0)
+        est = sort_regress(d, flat, 0.0)
         assert est.directed == lstsq_sort_regress(d, flat, 0.0).directed
         # With every score tied the order is the column order, so every
         # column regresses on all earlier columns.
         assert est.directed == frozenset((a, b) for a in range(1, 7) for b in range(a + 1, 7))
         halves = np.array([1.0, 0.0, 1.0, 0.0, 1.0, 0.0])
-        assert _sort_regress(d, halves, 0.1).directed == (
+        assert sort_regress(d, halves, 0.1).directed == (
             lstsq_sort_regress(d, halves, 0.1).directed
         )
 
@@ -169,11 +169,11 @@ class TestLstsqOracle:
         )
         d = Dataset(vals, ("a", "b", "c"))
         for scores in (varsortability_scores(d), np.array([1.0, 2.0, 0.0])):
-            assert _outcome(_sort_regress, d, scores, 0.1) == _outcome(
+            assert _outcome(sort_regress, d, scores, 0.1) == _outcome(
                 lstsq_sort_regress, d, scores, 0.1
             )
 
-    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=60)
     @given(
         p=st.integers(2, 12),
         extra=st.integers(2, 188),

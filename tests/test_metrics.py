@@ -1,5 +1,9 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from dagonion import (
@@ -21,7 +25,7 @@ from dagonion import (
     sortability_rank_corr,
     varsortability_scores,
 )
-from util import brute_pair_counts, enumerate_dags, enumerate_pdags
+from util import all_pairs, brute_pair_counts, enumerate_dags, enumerate_pdags
 
 
 class TestPdagType:
@@ -91,6 +95,28 @@ class TestCompareGraphs:
         relabeled = frozenset((perm[a - 1], perm[b - 1]) for a, b in est_dag.edges)
         after = compare_graphs(gp, Pdag(7, relabeled, frozenset()))
         assert before == after
+
+    @settings(max_examples=60)
+    @given(
+        p=st.integers(1, 30),
+        true_density=st.floats(0.0, 1.0),
+        est_density=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_property_matches_brute_force(self, p, true_density, est_density, seed):
+        rng = np.random.default_rng(seed)
+        truth, _ = shuffle_labels(er_dag(p, true_density * (p - 1), rng), rng)
+        # Per pair (a, b): absent, a -> b, b -> a or undirected.
+        weights = [1.0 - est_density] + [est_density / 3.0] * 3
+        states = rng.choice(4, size=p * (p - 1) // 2, p=weights)
+        pairs = all_pairs(p)
+        est = Pdag(
+            p,
+            frozenset(ab if s == 1 else ab[::-1] for ab, s in zip(pairs, states) if s in (1, 2)),
+            frozenset(ab for ab, s in zip(pairs, states) if s == 3),
+        )
+        c = compare_graphs(truth, est)
+        assert (asdict(c.adjacency), asdict(c.orientation)) == brute_pair_counts(truth, est)
 
     def test_exhaustive_agreement_small(self):
         truths = enumerate_dags(3)

@@ -1,89 +1,54 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from dagonion import (
+    CholeskyFailure,
     Dag,
+    cov_to_dag,
     dao_sample,
     er_dag,
-    parent_first_permutation,
+    implied_covariance,
     sample_mpii,
     sfi_rewire,
     sfo_rewire,
     shuffle_labels,
     source_first_order,
 )
-from util import partial_corr
+from util import full_block_dao_sample, partial_corr
 
 
 class TestSampleMpii:
     def test_zero_dimension_gives_zero_vector(self):
-        draw = sample_mpii(0, 1.0, 5, np.random.default_rng(0))
-        assert draw.w.shape == (5,)
-        assert np.all(draw.w == 0.0)
-        assert draw.gamma == 1.0
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        w = sample_mpii(0, 1.0, rng)
+        assert w.shape == (0,)
+        assert rng.bit_generator.state == before
 
     def test_invalid_arguments(self):
         rng = np.random.default_rng(1)
         with pytest.raises(ValueError):
-            sample_mpii(1, -0.5, 3, rng)
+            sample_mpii(1, -0.5, rng)
         with pytest.raises(ValueError):
-            sample_mpii(-1, 1.0, 3, rng)
-        with pytest.raises(ValueError):
-            sample_mpii(4, 1.0, 3, rng)
+            sample_mpii(-1, 1.0, rng)
 
     def test_inside_unit_ball_with_exact_padding(self):
+        # The draw has exactly k entries: no zero padding.
         rng = np.random.default_rng(2)
         for _ in range(500):
             k = int(rng.integers(1, 6))
-            pad = k + int(rng.integers(0, 4))
-            draw = sample_mpii(k, float(rng.uniform(-0.4, 3.0)), pad, rng)
-            assert draw.w.shape == (pad,)
-            assert np.all(draw.w[k:] == 0.0)
-            assert draw.w @ draw.w < 1.0
+            w = sample_mpii(k, float(rng.uniform(-0.4, 3.0)), rng)
+            assert w.shape == (k,)
+            assert w @ w < 1.0
 
     def test_k1_half_gamma_is_uniform(self):
         rng = np.random.default_rng(3)
-        draws = np.array([sample_mpii(1, 0.5, 1, rng).w[0] for _ in range(4000)])
+        draws = np.array([sample_mpii(1, 0.5, rng)[0] for _ in range(4000)])
         ks = stats.kstest(draws, stats.uniform(loc=-1, scale=2).cdf)
         assert ks.pvalue > 0.01
-
-
-class TestParentFirstPermutation:
-    def test_all_parents_identity(self):
-        g = Dag(4, frozenset({(1, 4), (2, 4), (3, 4)}))
-        P = parent_first_permutation(g, 3)
-        assert np.array_equal(P, np.eye(3))
-
-    def test_no_parents_identity(self):
-        g = Dag(4, frozenset())
-        assert np.array_equal(parent_first_permutation(g, 3), np.eye(3))
-
-    def test_single_middle_parent(self):
-        # Parents of vertex 4 are {2}; permuted basis order is (2, 1, 3).
-        g = Dag(4, frozenset({(2, 4)}))
-        P = parent_first_permutation(g, 3)
-        x = np.array([10.0, 20.0, 30.0])
-        assert np.array_equal(P.T @ x, np.array([20.0, 10.0, 30.0]))
-
-    def test_orthogonal(self):
-        rng = np.random.default_rng(4)
-        g = er_dag(8, 3, rng)
-        for i in range(1, 8):
-            P = parent_first_permutation(g, i)
-            assert np.array_equal(P.T @ P, np.eye(i))
-
-    def test_bad_layer_index(self):
-        g = Dag(3, frozenset({(1, 2)}))
-        with pytest.raises(ValueError):
-            parent_first_permutation(g, 0)
-        with pytest.raises(ValueError):
-            parent_first_permutation(g, 3)
-
-    def test_parent_beyond_layer_rejected(self):
-        g = Dag(3, frozenset({(3, 2)}))
-        with pytest.raises(ValueError):
-            parent_first_permutation(g, 1)
 
 
 def _check_valid_draw(g, R, params, tol=1e-10):
@@ -162,3 +127,64 @@ class TestDaoSample:
             g = rewire(er_dag(10, 3, rng), rng)
             R, params = dao_sample(g, rng)
             _check_valid_draw(g, R, params)
+
+    def test_failed_parent_factorization_raises(self, monkeypatch):
+        def fail(_):
+            raise np.linalg.LinAlgError("not positive definite")
+
+        monkeypatch.setattr(np.linalg, "cholesky", fail)
+        with pytest.raises(CholeskyFailure):
+            dao_sample(Dag(2, frozenset({(1, 2)})), np.random.default_rng(11))
+
+
+def _graph(kind, p, rng):
+    """A test graph: er, sfi, sfo and shuffled at average degree up to 3;
+    empty; dense at degree 0.7 (p - 1); complete. Dense and complete graphs
+    get shuffled labels, so their walk is not the label order."""
+    if kind == "empty":
+        return Dag(p, frozenset())
+    degree = {"dense": 0.7 * (p - 1), "complete": p - 1}.get(kind, min(3.0, p - 1))
+    g = er_dag(p, degree, rng)
+    if kind in ("sfi", "sfo"):
+        g = (sfi_rewire if kind == "sfi" else sfo_rewire)(g, rng)
+    elif kind in ("shuffled", "dense", "complete"):
+        g, _ = shuffle_labels(g, rng)
+    return g
+
+
+class TestFullBlockOracle:
+    """The parent-block sampler reproduces the full-block sampler's draw and
+    consumes the same random numbers."""
+
+    @pytest.mark.parametrize("kind", ["er", "sfi", "sfo", "shuffled", "empty", "complete"])
+    def test_matches_oracle_and_rng_state(self, kind):
+        rng = np.random.default_rng(12)
+        for p in (2, 3, 7, 15, 30, 60):
+            g = _graph(kind, p, rng)
+            seed = int(rng.integers(2**32))
+            fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+            R, params = dao_sample(g, fast)
+            R_o, params_o = full_block_dao_sample(g, slow)
+            assert fast.bit_generator.state == slow.bit_generator.state
+            assert np.max(np.abs(R - R_o)) <= 1e-11
+            assert np.max(np.abs(params.B - params_o.B)) <= 1e-11
+            assert np.max(np.abs(params.omega - params_o.omega)) <= 1e-11
+
+
+class TestDaoProperties:
+    @settings(max_examples=60)
+    @given(
+        kind=st.sampled_from(["shuffled", "empty", "dense", "complete"]),
+        p=st.integers(1, 25),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_invariants(self, kind, p, seed):
+        rng = np.random.default_rng(seed)
+        g = _graph(kind, p, rng)
+        R, params = dao_sample(g, rng)
+        assert np.array_equal(np.diag(R), np.ones(p))
+        assert np.linalg.eigvalsh(R)[0] > 0
+        assert np.max(np.abs(R - implied_covariance(params))) <= 1e-9
+        back = cov_to_dag(g, R)
+        assert np.max(np.abs(back.B - params.B)) <= 1e-9
+        assert np.max(np.abs(back.omega - params.omega)) <= 1e-9

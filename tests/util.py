@@ -5,8 +5,19 @@ from __future__ import annotations
 from itertools import combinations, product
 
 import numpy as np
+from scipy import linalg
 
-from dagonion import CyclicGraphError, Dag, Dataset, Pdag, RankDeficientDataError
+from dagonion import (
+    CholeskyFailure,
+    CyclicGraphError,
+    Dag,
+    Dataset,
+    Pdag,
+    RankDeficientDataError,
+    SemParameters,
+    sample_mpii,
+    source_first_order,
+)
 
 
 def all_pairs(p: int) -> list[tuple[int, int]]:
@@ -133,3 +144,54 @@ def lstsq_sort_regress(d: Dataset, scores: np.ndarray, threshold: float) -> Pdag
             if abs(c) > threshold:
                 edges.add((int(j) + 1, target + 1))
     return Pdag(d.p, frozenset(edges), frozenset())
+
+
+def full_block_dao_sample(g: Dag, rng: np.random.Generator):
+    """The DaO sampler that factors the whole permuted leading block at every
+    layer, on the graph relabeled into source-first positions: the oracle for
+    ``dao_sample``, which factors only each vertex's parent block."""
+    p = g.p
+    order = source_first_order(g)
+    identity_order = order == tuple(range(1, p + 1))
+    if identity_order:
+        h = g
+    else:
+        pos = {v: t + 1 for t, v in enumerate(order)}
+        h = Dag(p, frozenset((pos[a], pos[b]) for a, b in g.edges))
+
+    parent_map = h.parent_map()
+    m = sum(1 for v in range(1, p + 1) if not parent_map[v])
+
+    R = np.eye(p)
+    B = np.zeros((p, p))
+    omega = np.ones(p)
+    for i in range(m, p):
+        # Layer i extends the i x i leading block to cover vertex i+1.
+        parents0 = np.asarray(parent_map[i + 1], dtype=np.intp) - 1
+        k = len(parents0)
+        w = np.zeros(i)
+        w[:k] = sample_mpii(k, (p - i) / 2.0, rng)
+        nonparents0 = np.setdiff1d(np.arange(i, dtype=np.intp), parents0)
+        perm = np.concatenate([parents0, nonparents0])
+        try:
+            L = np.linalg.cholesky(R[np.ix_(perm, perm)])
+        except np.linalg.LinAlgError as exc:
+            raise CholeskyFailure(
+                f"leading block at layer {i} lost positive definiteness"
+            ) from exc
+        r = np.empty(i)
+        r[perm] = L @ w
+        R[i, :i] = r
+        R[:i, i] = r
+        if k:
+            z = linalg.solve_triangular(L, w, lower=True, trans="T")
+            B[i, parents0] = z[:k]
+        omega[i] = 1.0 - float(w @ w)
+
+    if not identity_order:
+        posof = np.empty(p, dtype=np.intp)
+        posof[np.asarray(order, dtype=np.intp) - 1] = np.arange(p)
+        R = R[np.ix_(posof, posof)]
+        B = B[np.ix_(posof, posof)]
+        omega = omega[posof]
+    return R, SemParameters(g, B, omega)
