@@ -24,7 +24,7 @@ import numpy as np
 from scipy import linalg
 
 from .errors import RankDeficientDataError
-from .metrics import Pdag, sample_r2, varsortability_scores
+from .metrics import Pdag, _require_full_rank_shape, sample_r2, varsortability_scores
 from .simdata import Dataset
 
 __all__ = ["sort_regress", "var_sort_regress", "r2_sort_regress"]
@@ -41,13 +41,7 @@ def sort_regress(d: Dataset, scores: np.ndarray, threshold: float) -> Pdag:
     """
     if threshold < 0 or np.isnan(threshold):
         raise ValueError(f"threshold must be nonnegative, got {threshold}")
-    if d.n <= d.p:
-        raise RankDeficientDataError(
-            f"need more rows than columns, got n={d.n}, p={d.p}"
-        )
-    sd = d.values.std(axis=0, ddof=1)
-    if np.any(sd == 0):
-        raise RankDeficientDataError("a column has zero sample variance")
+    _require_full_rank_shape(d)
     # Stable sort: equal scores keep their original column order.
     order = np.argsort(scores, kind="stable")
     # Centering absorbs the intercept without touching coefficient scale.

@@ -96,6 +96,11 @@ def _require(cond: bool, where: str, msg: str) -> None:
         raise SchemaError(f"{where}: {msg}")
 
 
+def _is_int(x) -> bool:
+    """True for a JSON integer; JSON true/false load as bool, a subclass of int."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _int_pairs(raw, where: str) -> list[tuple[int, int]]:
     pairs = []
     _require(isinstance(raw, list), where, "expected a list of pairs")
@@ -105,12 +110,27 @@ def _int_pairs(raw, where: str) -> list[tuple[int, int]]:
         )
         a, b = item
         _require(
-            isinstance(a, int) and isinstance(b, int),
+            _is_int(a) and _is_int(b),
             where,
             f"pair entries must be integers, got {item!r}",
         )
         pairs.append((a, b))
     return pairs
+
+
+def _order_from_dict(d: dict, p: int, where: str) -> tuple[int, ...] | None:
+    """The optional ``"order"`` field: None, or a permutation of 1..p."""
+    raw = d.get("order")
+    if raw is None:
+        return None
+    _require(
+        isinstance(raw, list)
+        and all(_is_int(v) for v in raw)
+        and sorted(raw) == list(range(1, p + 1)),
+        where,
+        '"order" must be a permutation of 1..p',
+    )
+    return tuple(raw)
 
 
 def graph_to_dict(g: Dag, order: tuple[int, ...] | None = None, **extra) -> dict:
@@ -125,17 +145,9 @@ def graph_from_dict(d: dict, where: str = "graph") -> tuple[Dag, tuple[int, ...]
     _require(isinstance(d, dict), where, "expected a JSON object")
     _require("p" in d and "edges" in d, where, 'missing "p" or "edges"')
     p = d["p"]
-    _require(isinstance(p, int) and p >= 1, where, f'bad "p": {p!r}')
+    _require(_is_int(p) and p >= 1, where, f'bad "p": {p!r}')
     edges = _int_pairs(d["edges"], where)
-    order = None
-    if d.get("order") is not None:
-        raw = d["order"]
-        _require(
-            isinstance(raw, list) and sorted(raw) == list(range(1, p + 1)),
-            where,
-            '"order" must be a permutation of 1..p',
-        )
-        order = tuple(int(v) for v in raw)
+    order = _order_from_dict(d, p, where)
     try:
         g = Dag(p, frozenset(edges))
     except ValueError as exc:
@@ -180,7 +192,7 @@ def model_from_dict(d: dict, where: str = "model") -> ModelRecord:
     for key in ("p", "B", "omega", "R", "method"):
         _require(key in d, where, f'missing "{key}"')
     p = d["p"]
-    _require(isinstance(p, int) and p >= 1, where, f'bad "p": {p!r}')
+    _require(_is_int(p) and p >= 1, where, f'bad "p": {p!r}')
     try:
         B = np.asarray(d["B"], dtype=float)
         omega = np.asarray(d["omega"], dtype=float)
@@ -198,18 +210,10 @@ def model_from_dict(d: dict, where: str = "model") -> ModelRecord:
         params = SemParameters(g, B, omega)
     except ValueError as exc:
         raise SchemaError(f"{where}: {exc}") from exc
-    order = None
-    if d.get("order") is not None:
-        raw = d["order"]
-        _require(
-            isinstance(raw, list) and sorted(raw) == list(range(1, p + 1)),
-            where,
-            '"order" must be a permutation of 1..p',
-        )
-        order = tuple(int(v) for v in raw)
+    order = _order_from_dict(d, p, where)
     seed = d.get("seed")
     _require(
-        seed is None or isinstance(seed, int), where, f'bad "seed": {seed!r}'
+        seed is None or _is_int(seed), where, f'bad "seed": {seed!r}'
     )
     method = d["method"]
     _require(isinstance(method, str), where, f'bad "method": {method!r}')
@@ -232,7 +236,7 @@ def pdag_from_dict(d: dict, where: str = "pdag"):
     _require(isinstance(d, dict), where, "expected a JSON object")
     _require("p" in d, where, 'missing "p"')
     p = d["p"]
-    _require(isinstance(p, int) and p >= 1, where, f'bad "p": {p!r}')
+    _require(_is_int(p) and p >= 1, where, f'bad "p": {p!r}')
     directed = _int_pairs(d.get("directed", []), where)
     undirected = _int_pairs(d.get("undirected", []), where)
     try:

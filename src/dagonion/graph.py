@@ -72,15 +72,6 @@ class Dag:
             pa[v].sort()
         return pa
 
-    def child_map(self) -> dict[int, list[int]]:
-        """Sorted child lists for every vertex."""
-        ch: dict[int, list[int]] = {v: [] for v in range(1, self.p + 1)}
-        for a, b in self.edges:
-            ch[a].append(b)
-        for v in ch:
-            ch[v].sort()
-        return ch
-
     def sorted_edges(self) -> list[tuple[int, int]]:
         """Edges in lexicographic order, the canonical serialization order."""
         return sorted(self.edges)
@@ -114,13 +105,6 @@ def er_dag(p: int, avg_degree: float, rng: np.random.Generator) -> Dag:
     return Dag(p, edges)
 
 
-def _weighted_pick(eligible: list[int], weight_of: np.ndarray, rng: np.random.Generator) -> int:
-    """Pick one label from ``eligible`` with probability proportional to its weight."""
-    w = weight_of[np.array(eligible, dtype=np.intp) - 1]
-    cum = np.cumsum(w)
-    return eligible[int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))]
-
-
 def sfi_rewire(g: Dag, rng: np.random.Generator) -> Dag:
     """Rewire toward a scale-free in-degree distribution.
 
@@ -133,20 +117,7 @@ def sfi_rewire(g: Dag, rng: np.random.Generator) -> Dag:
     Requires an input whose edges all satisfy parent < child.
     """
     _require_label_consistent(g, "sfi_rewire")
-    out_deg = {v: len(cs) for v, cs in g.child_map().items()}
-    in_deg = np.zeros(g.p)  # in-degree of each vertex in the rewired graph
-    edges: list[tuple[int, int]] = []
-    for i in range(g.p, 0, -1):
-        need = out_deg[i]
-        if need == 0:
-            continue
-        eligible = list(range(i + 1, g.p + 1))
-        for _ in range(need):
-            j = _weighted_pick(eligible, 1.0 + in_deg, rng)
-            eligible.remove(j)
-            edges.append((i, j))
-            in_deg[j - 1] += 1.0
-    return Dag(g.p, frozenset(edges))
+    return _rewire(g, rng, forward=False)
 
 
 def sfo_rewire(g: Dag, rng: np.random.Generator) -> Dag:
@@ -158,20 +129,38 @@ def sfo_rewire(g: Dag, rng: np.random.Generator) -> Dag:
     accumulated so far).
     """
     _require_label_consistent(g, "sfo_rewire")
-    in_deg_in = {v: len(ps) for v, ps in g.parent_map().items()}
-    out_deg = np.zeros(g.p)
+    return _rewire(g, rng, forward=True)
+
+
+def _rewire(g: Dag, rng: np.random.Generator, *, forward: bool) -> Dag:
+    """The preferential-attachment loop shared by sfi_rewire and sfo_rewire.
+
+    ``forward`` walks 1..p and redraws each vertex's parents among j < i
+    (sfo); otherwise it walks p..1 and redraws children among j > i (sfi).
+    A chosen candidate's weight drops to 0.0, which leaves every cumulative
+    sum bit-identical to the one over the remaining candidates and is never
+    picked, so each draw equals a pick from the shrinking candidate list.
+    Only picked vertices gain degree, and each is out of the current
+    vertex's candidates, so the weights are copied once per vertex.
+    """
+    p = g.p
+    ends = np.array(list(g.edges), dtype=np.intp).reshape(-1, 2)
+    need = np.bincount(ends[:, 1] if forward else ends[:, 0], minlength=p + 1)
+    deg = np.zeros(p + 1)  # degree gained so far in the rewired graph; slot 0 unused
     edges: list[tuple[int, int]] = []
-    for i in range(1, g.p + 1):
-        need = in_deg_in[i]
-        if need == 0:
+    for i in range(1, p + 1) if forward else range(p, 0, -1):
+        if need[i] == 0:
             continue
-        eligible = list(range(1, i))
-        for _ in range(need):
-            j = _weighted_pick(eligible, 1.0 + out_deg, rng)
-            eligible.remove(j)
-            edges.append((j, i))
-            out_deg[j - 1] += 1.0
-    return Dag(g.p, frozenset(edges))
+        lo, hi = (1, i) if forward else (i + 1, p + 1)
+        w = 1.0 + deg[lo:hi]
+        for _ in range(need[i]):
+            cum = w.cumsum()
+            k = int(cum.searchsorted(rng.random() * cum[-1], side="right"))
+            w[k] = 0.0
+            j = lo + k
+            deg[j] += 1.0
+            edges.append((j, i) if forward else (i, j))
+    return Dag(p, frozenset(edges))
 
 
 def _require_label_consistent(g: Dag, op: str) -> None:

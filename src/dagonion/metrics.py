@@ -185,12 +185,8 @@ def population_r2(R: np.ndarray) -> np.ndarray:
     return 1.0 - 1.0 / prec
 
 
-def sample_r2(d: Dataset) -> np.ndarray:
-    """population_r2 applied to the sample correlation matrix of ``d``.
-
-    Requires more rows than columns; rank-deficient data (duplicate or
-    constant columns, n <= p) raises RankDeficientDataError.
-    """
+def _require_full_rank_shape(d: Dataset) -> None:
+    """Raise RankDeficientDataError when n <= p or some column is constant."""
     if d.n <= d.p:
         raise RankDeficientDataError(
             f"need more rows than columns, got n={d.n}, p={d.p}"
@@ -198,6 +194,15 @@ def sample_r2(d: Dataset) -> np.ndarray:
     sd = d.values.std(axis=0, ddof=1)
     if np.any(sd == 0):
         raise RankDeficientDataError("a column has zero sample variance")
+
+
+def sample_r2(d: Dataset) -> np.ndarray:
+    """population_r2 applied to the sample correlation matrix of ``d``.
+
+    Requires more rows than columns; rank-deficient data (duplicate or
+    constant columns, n <= p) raises RankDeficientDataError.
+    """
+    _require_full_rank_shape(d)
     Rhat = np.corrcoef(d.values, rowvar=False)
     try:
         return population_r2(Rhat)
@@ -236,7 +241,9 @@ def sortability_rank_corr(
     ranks = stats.rankdata(scores)
     if largest_first:
         ranks = (p + 1) - ranks
-    rho = stats.spearmanr(ranks, causal_index).statistic
+    # Pearson correlation of the two rank vectors: what spearmanr computes,
+    # without ranking the ranks again or the unused p-value.
+    rho = np.corrcoef(np.column_stack((ranks, causal_index)), rowvar=False)[1, 0]
     return float(rho) if np.isfinite(rho) else 0.0
 
 

@@ -93,6 +93,16 @@ class TestGenModel:
         assert run("gen-model", "--graph", tmp_path / "nope.json",
                    "--method", "dao", "--seed", 1, "--out", tmp_path / "m.json") == 4
 
+    @pytest.mark.parametrize(
+        "raw", ['{"p": true, "edges": []}', '{"p": 3, "edges": [[true, 2], [2, 3]]}']
+    )
+    def test_boolean_integers_are_schema_errors(self, tmp_path, raw):
+        graph = tmp_path / "g.json"
+        graph.write_text(raw)
+        assert run("gen-model", "--graph", graph, "--method", "dao",
+                   "--seed", 1, "--out", tmp_path / "m.json") == 4
+        assert not (tmp_path / "m.json").exists()
+
 
 class TestSimulate:
     def _model(self, tmp_path, method="zarx"):

@@ -63,6 +63,20 @@ class TestGraphFormat:
     def test_bad_order(self):
         with pytest.raises(SchemaError):
             graph_from_dict({"p": 2, "edges": [], "order": [1, 1]})
+        with pytest.raises(SchemaError):
+            graph_from_dict({"p": 2, "edges": [], "order": [1, "x"]})
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            {"p": True, "edges": []},
+            {"p": 3, "edges": [[True, 2], [2, 3]]},
+            {"p": 3, "edges": [[1, 2], [2, 3]], "order": [True, 2, 3]},
+        ],
+    )
+    def test_booleans_are_not_integers(self, raw):
+        with pytest.raises(SchemaError):
+            graph_from_dict(raw)
 
     def test_not_json(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -106,6 +120,21 @@ class TestModelFormat:
                 {"p": 2, "B": [[0, 0]], "omega": [1, 1], "R": [[1, 0], [0, 1]], "method": "dao"}
             )
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"p": True, "B": [[0]], "omega": [1], "R": [[1]], "order": [1]},
+            {"order": [True, 2]},
+            {"seed": True},
+        ],
+    )
+    def test_booleans_are_not_integers(self, bad):
+        raw = {"p": 2, "B": [[0, 0], [0, 0]], "omega": [1, 1],
+               "R": [[1, 0], [0, 1]], "method": "dao", "seed": 1, "order": [1, 2]}
+        model_from_dict(raw)
+        with pytest.raises(SchemaError):
+            model_from_dict({**raw, **bad})
+
 
 class TestPdagFormat:
     def test_round_trip(self):
@@ -116,6 +145,12 @@ class TestPdagFormat:
     def test_invalid_overlap(self):
         with pytest.raises(SchemaError):
             pdag_from_dict({"p": 3, "directed": [[1, 2]], "undirected": [[1, 2]]})
+
+    def test_booleans_are_not_integers(self):
+        with pytest.raises(SchemaError):
+            pdag_from_dict({"p": True, "directed": []})
+        with pytest.raises(SchemaError):
+            pdag_from_dict({"p": 3, "directed": [[1, 2]], "undirected": [[False, 3]]})
 
 
 class TestDatasetFormat:

