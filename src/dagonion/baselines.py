@@ -10,12 +10,12 @@ data on its original scale, so informative variances help them and
 column-standardized input gives them nothing to exploit. They use plain least
 squares with coefficient thresholding rather than any penalized regression.
 
-All p - 1 regressions come from one QR factorization X = QR of the sorted,
-centered data: the coefficients of column k on the columns before it are
-R[:k, :k]^-1 R[:k, k], so one triangular solve yields every fit. The data
-count as rank deficient when a predecessor column's pivot |R_jj| is at most
-eps * max(n, p) times the largest such pivot, the relative cutoff that
-least squares with the default ``rcond`` applies to singular values.
+All p - 1 regressions come from the triangular factor S of the sorted,
+centered data: the fit of column k on the columns before it is S[:k, :k]^-1
+S[:k, k]. With X = QR in column order, the p x p QR of R[:, order] gives S
+up to row signs, which cancel; the same R gives the sample R^2 scores. The
+data are rank deficient when a predecessor pivot |S_jj| is at most eps *
+max(n, p) times the largest, the cutoff of least squares' default ``rcond``.
 """
 
 from __future__ import annotations
@@ -23,8 +23,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import linalg
 
-from .errors import RankDeficientDataError
-from .metrics import Pdag, _require_full_rank_shape, sample_r2, varsortability_scores
+from .metrics import Pdag, _data_factor, _require_pivots, sample_r2, varsortability_scores
 from .simdata import Dataset
 
 __all__ = ["sort_regress", "var_sort_regress", "r2_sort_regress"]
@@ -41,27 +40,24 @@ def sort_regress(d: Dataset, scores: np.ndarray, threshold: float) -> Pdag:
     """
     if threshold < 0 or np.isnan(threshold):
         raise ValueError(f"threshold must be nonnegative, got {threshold}")
-    _require_full_rank_shape(d)
+    return _sort_regress_from_factor(d, _data_factor(d), scores, threshold)
+
+
+def _sort_regress_from_factor(
+    d: Dataset, R: np.ndarray, scores: np.ndarray, threshold: float
+) -> Pdag:
+    """sort_regress from the data factor R of ``_data_factor(d)``."""
     # Stable sort: equal scores keep their original column order.
     order = np.argsort(scores, kind="stable")
-    # Centering absorbs the intercept without touching coefficient scale.
-    X = d.values[:, order]
-    X = X - X.mean(axis=0)
-    R = np.linalg.qr(X, mode="r")
+    S = np.linalg.qr(R[:, order], mode="r")
     # The last column is never a predecessor, so its pivot is not checked.
-    piv = np.abs(np.diag(R))[:-1]
-    if np.any(piv <= np.finfo(float).eps * max(X.shape) * piv.max(initial=0.0)):
-        raise RankDeficientDataError(
-            "predecessor columns are collinear; regression is rank deficient"
-        )
+    _require_pivots(np.abs(np.diag(S))[:-1], d.n, "predecessor")
     # coef[j, k] is the coefficient of sorted column j (< k) in the fit of k;
     # entries with j >= k are exactly zero.
-    coef = linalg.solve_triangular(R[:-1, :-1], np.triu(R, 1)[:-1])
+    coef = linalg.solve_triangular(S[:-1, :-1], np.triu(S, 1)[:-1])
     src, dst = np.nonzero(np.abs(coef) > threshold)
-    edges = frozenset(
-        (int(a) + 1, int(b) + 1) for a, b in zip(order[src], order[dst])
-    )
-    return Pdag(d.p, edges, frozenset())
+    edges = zip((order[src] + 1).tolist(), (order[dst] + 1).tolist())
+    return Pdag(d.p, frozenset(edges), frozenset())
 
 
 def var_sort_regress(d: Dataset, threshold: float = DEFAULT_THRESHOLD) -> Pdag:

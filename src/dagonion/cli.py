@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .baselines import DEFAULT_THRESHOLD, sort_regress
+from .baselines import DEFAULT_THRESHOLD, _sort_regress_from_factor
 from .errors import NumericalError, SchemaError
 from .fileio import (
     atomic_write_text,
@@ -47,6 +47,8 @@ from .fileio import (
 )
 from .graph import Dag, er_dag, sfi_rewire, sfo_rewire, shuffle_labels, source_first_order
 from .metrics import (
+    _data_factor,
+    _sample_r2_from_factor,
     compare_graphs,
     population_r2,
     precision_recall,
@@ -172,10 +174,7 @@ def cmd_simulate(args) -> list[Path]:
 
 def _causal_index(order: tuple[int, ...]) -> np.ndarray:
     """Per-vertex position (1-based) given the order's vertex sequence."""
-    idx = np.empty(len(order), dtype=np.intp)
-    for pos, v in enumerate(order, start=1):
-        idx[v - 1] = pos
-    return idx
+    return np.argsort(order) + 1
 
 
 def cmd_eval(args) -> list[Path]:
@@ -210,12 +209,9 @@ def cmd_eval(args) -> list[Path]:
         else:
             order = source_first_order(truth)
         idx = _causal_index(order)
-        report["r2_rank_corr"] = sortability_rank_corr(
-            sample_r2(data), idx, largest_first=True
-        )
-        report["var_rank_corr"] = sortability_rank_corr(
-            varsortability_scores(data), idx, largest_first=True
-        )
+        for key, scores in (("r2", sample_r2), ("var", varsortability_scores)):
+            rho = sortability_rank_corr(scores(data), idx, largest_first=True)
+            report[f"{key}_rank_corr"] = rho
     if args.out:
         out = _resolve_out(args.out)
         write_json(out, report)
@@ -267,11 +263,13 @@ def _bench_cell(
             idx = _causal_index(source_first_order(g))
             rep_vals = [sortability_rank_corr(population_r2(R), idx, largest_first=True)]
             data = simulate(params, error_kind, n, rng)
-            r2, var = sample_r2(data), varsortability_scores(data)
+            factor = _data_factor(data)  # serves sample R^2 and both learners
+            r2, var = _sample_r2_from_factor(factor, n), varsortability_scores(data)
             for scores in (r2, var):
                 rep_vals.append(sortability_rank_corr(scores, idx, largest_first=True))
             for scores in (var, r2):
-                pr = precision_recall(compare_graphs(g, sort_regress(data, scores, threshold)))
+                est = _sort_regress_from_factor(data, factor, scores, threshold)
+                pr = precision_recall(compare_graphs(g, est))
                 rep_vals.extend(astuple(pr))
         except NumericalError:
             failures += 1

@@ -55,14 +55,6 @@ class Dag:
     def num_edges(self) -> int:
         return len(self.edges)
 
-    def parents(self, v: int) -> tuple[int, ...]:
-        """Parents of ``v`` in ascending label order."""
-        return tuple(sorted(a for a, b in self.edges if b == v))
-
-    def children(self, v: int) -> tuple[int, ...]:
-        """Children of ``v`` in ascending label order."""
-        return tuple(sorted(b for a, b in self.edges if a == v))
-
     def parent_map(self) -> dict[int, list[int]]:
         """Sorted parent lists for every vertex (one pass over the edges)."""
         pa: dict[int, list[int]] = {v: [] for v in range(1, self.p + 1)}

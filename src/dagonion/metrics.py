@@ -21,7 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg, stats
+from scipy import stats
+from scipy.linalg import lapack
 
 from .errors import RankDeficientDataError, SingularMatrixError
 from .graph import Dag
@@ -168,9 +169,9 @@ def precision_recall(c: ConfusionCounts) -> PrecisionRecall:
 def population_r2(R: np.ndarray) -> np.ndarray:
     """Fraction of each variable's variance explained by all the others.
 
-    For a correlation matrix R this is 1 - 1/(R^-1)_ii per variable. Raises
-    SingularMatrixError when R is not invertible as a positive definite
-    matrix.
+    This is 1 - 1/(R_ii (R^-1)_ii) per variable, 1 - 1/(R^-1)_ii for a
+    correlation matrix R. Raises SingularMatrixError when R is not
+    invertible as a positive definite matrix.
     """
     R = np.asarray(R, dtype=float)
     if R.ndim != 2 or R.shape[0] != R.shape[1]:
@@ -179,37 +180,49 @@ def population_r2(R: np.ndarray) -> np.ndarray:
         L = np.linalg.cholesky(R)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError("matrix is not positive definite") from exc
-    # (R^-1)_ii from the Cholesky factor: column i of L^-1, squared and summed.
-    Linv = linalg.solve_triangular(L, np.eye(R.shape[0]), lower=True)
-    prec = np.einsum("ji,ji->i", Linv, Linv)
-    return 1.0 - 1.0 / prec
+    return _r2_from_factor(np.diag(R), L.T)
 
 
-def _require_full_rank_shape(d: Dataset) -> None:
-    """Raise RankDeficientDataError when n <= p or some column is constant."""
+def _r2_from_factor(gram_diag: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """1 - 1/(G_ii (G^-1)_ii) for G = U^T U, U upper triangular: (G^-1)_ii is
+    the squared norm of row i of U^-1, so one triangular inversion serves."""
+    Uinv, _ = lapack.dtrtri(U, lower=0)
+    return 1.0 - 1.0 / (gram_diag * np.einsum("ij,ij->i", Uinv, Uinv))
+
+
+def _data_factor(d: Dataset) -> np.ndarray:
+    """The p x p R of X = QR, X the centered data; R[:, pi] has the Gram
+    matrix of X[:, pi] for any column order pi. Raises
+    RankDeficientDataError when n <= p or some column is constant."""
     if d.n <= d.p:
-        raise RankDeficientDataError(
-            f"need more rows than columns, got n={d.n}, p={d.p}"
-        )
-    sd = d.values.std(axis=0, ddof=1)
-    if np.any(sd == 0):
+        raise RankDeficientDataError(f"need more rows than columns, got n={d.n}, p={d.p}")
+    X = d.values - d.values.mean(axis=0)
+    if not np.all(np.any(X, axis=0)):
         raise RankDeficientDataError("a column has zero sample variance")
+    return np.linalg.qr(X, mode="r")
+
+
+def _require_pivots(pivots: np.ndarray, n: int, what: str) -> None:
+    """Raise RankDeficientDataError when some |R_jj| <= eps * max(n, p) *
+    max |R_jj|, given n > p: the relative cutoff of least squares."""
+    if np.any(pivots <= np.finfo(float).eps * n * pivots.max(initial=0.0)):
+        raise RankDeficientDataError(f"{what} columns are collinear")
+
+
+def _sample_r2_from_factor(R: np.ndarray, n: int) -> np.ndarray:
+    _require_pivots(np.abs(np.diag(R)), n, "data")
+    return _r2_from_factor(np.einsum("ij,ij->j", R, R), R)
 
 
 def sample_r2(d: Dataset) -> np.ndarray:
-    """population_r2 applied to the sample correlation matrix of ``d``.
+    """Fraction of each column's sample variance explained by the others.
 
-    Requires more rows than columns; rank-deficient data (duplicate or
-    constant columns, n <= p) raises RankDeficientDataError.
-    """
-    _require_full_rank_shape(d)
-    Rhat = np.corrcoef(d.values, rowvar=False)
-    try:
-        return population_r2(Rhat)
-    except SingularMatrixError as exc:
-        raise RankDeficientDataError(
-            "sample correlation matrix is singular"
-        ) from exc
+    From the QR factor R of the centered data X, which unlike the sample
+    correlation matrix does not square the condition number: (X^T X)_ii =
+    ||R[:, i]||^2 and (X^T X)^-1_ii = ||R^-1[i, :]||^2. Raises
+    RankDeficientDataError for n <= p, a constant column, or a pivot |R_jj|
+    at most eps * n times the largest."""
+    return _sample_r2_from_factor(_data_factor(d), d.n)
 
 
 def sortability_rank_corr(

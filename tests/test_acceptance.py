@@ -35,7 +35,7 @@ from dagonion import (
     zarx_params,
 )
 from dagonion.cli import main as cli_main
-from util import brute_pair_counts, enumerate_dags, enumerate_pdags, partial_corr
+from util import brute_pair_counts, enumerate_dags, enumerate_pdags, parents, partial_corr
 
 
 def test_criterion_01_single_edge_correlation_uniform_on_interval():
@@ -98,7 +98,7 @@ def test_criterion_03_partial_correlation_with_nonparent_predecessors_vanishes()
         R, _ = dao_sample(g, rng)
         order = source_first_order(g)
         for pos, v in enumerate(order):
-            pa = set(g.parents(v))
+            pa = set(parents(g, v))
             given = [w - 1 for w in pa]
             for u in order[:pos]:
                 if u in pa:

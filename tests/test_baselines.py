@@ -22,7 +22,14 @@ from dagonion import (
     zarx_params,
 )
 from dagonion.baselines import sort_regress
-from util import lstsq_sort_regress
+from util import (
+    DEGENERATE,
+    data_qr_sort_regress,
+    degenerate_data,
+    lstsq_sort_regress,
+    mixed_data,
+    model_data,
+)
 
 
 def _independent_data(n=10_000, p=5, seed=0):
@@ -192,3 +199,62 @@ class TestLstsqOracle:
             est = fit(d, threshold)
             assert est.directed == lstsq_sort_regress(d, scores(d), threshold).directed
             Dag(est.p, est.directed)  # raises if cyclic
+
+
+def _fit_outcome(fit):
+    try:
+        return fit().directed
+    except RankDeficientDataError:
+        return "rank deficient"
+
+
+class TestDataQrOracle:
+    """The learners factor the p x p data factor in sorted order; the oracle
+    factors the sorted n x p data. Same edges, same failures."""
+
+    @pytest.mark.parametrize("method", ["dao", "zarx", "tetrad"])
+    def test_matches_oracle_on_models(self, method):
+        rng = np.random.default_rng(13)
+        for shuffle in (False, True):
+            for p, deg in ((10, 3), (8, 7), (12, 11)):
+                for n in (p + 1, p + 2, 500):
+                    g = er_dag(p, deg, rng)
+                    if shuffle:
+                        g, _ = shuffle_labels(g, rng)
+                    d = model_data(method, g, n, rng)
+                    for _, scores in LEARNERS:
+                        for threshold in (0.0, 0.1, np.inf):
+                            assert _fit_outcome(
+                                lambda: sort_regress(d, scores(d), threshold)
+                            ) == _fit_outcome(
+                                lambda: data_qr_sort_regress(d, scores(d), threshold)
+                            )
+
+    @pytest.mark.parametrize("first", [True, False])
+    @pytest.mark.parametrize("kind", sorted(DEGENERATE))
+    def test_degenerate_columns(self, kind, first):
+        # Ascending, descending and tied scores put the degenerate column
+        # first, last, or where it stands.
+        d = degenerate_data(kind, first)
+        for scores in (np.arange(d.p), -np.arange(d.p), np.zeros(d.p)):
+            got = _fit_outcome(lambda: sort_regress(d, scores, 0.1))
+            assert got == _fit_outcome(lambda: data_qr_sort_regress(d, scores, 0.1))
+            assert got == _fit_outcome(lambda: lstsq_sort_regress(d, scores, 0.1))
+
+    @settings(max_examples=60)
+    @given(
+        p=st.integers(2, 12),
+        extra=st.integers(1, 188),
+        seed=st.integers(0, 2**32 - 1),
+        degenerate=st.sampled_from([None, *sorted(DEGENERATE)]),
+        first=st.booleans(),
+        tied=st.booleans(),
+    )
+    def test_property_matches_oracle(self, p, extra, seed, degenerate, first, tied):
+        rng = np.random.default_rng(seed)
+        d = mixed_data(p, min(p + extra, 200), rng, degenerate, first)
+        # Scores on a coarse grid tie often; stable sorting keeps column order.
+        scores = rng.integers(0, 3, d.p) if tied else rng.permutation(d.p)
+        assert _fit_outcome(lambda: sort_regress(d, scores, 0.1)) == _fit_outcome(
+            lambda: data_qr_sort_regress(d, scores, 0.1)
+        )

@@ -3,9 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from dagonion import __version__
+from dagonion import RankDeficientDataError, __version__, sample_r2
+from dagonion import cli
 from dagonion.cli import main
-from dagonion.fileio import read_json
+from dagonion.fileio import read_dataset, read_json
+from util import corrcoef_sample_r2, lstsq_sample_r2
 
 
 def run(*argv):
@@ -234,6 +236,24 @@ class TestEval:
                    "--seed", 3, "--out", data) == 0
         assert run("eval", "--true-graph", graph, "--data", data) == 3
 
+    def test_ill_conditioned_full_rank_data(self, tmp_path):
+        # Complete zarx graph at n = p + 1: cond(X) is about 1e10. The sample
+        # correlation matrix's Cholesky factorization fails on these data;
+        # the QR factor of the data gives the least-squares R^2.
+        graph = gen_graph(tmp_path, p=40, deg=39)
+        model, data = tmp_path / "m.json", tmp_path / "d.csv"
+        assert run("gen-model", "--graph", graph, "--method", "zarx",
+                   "--seed", 2, "--out", model) == 0
+        assert run("simulate", "--model", model, "--n", 41,
+                   "--seed", 2, "--out", data) == 0
+        d = read_dataset(data)
+        with pytest.raises(RankDeficientDataError):
+            corrcoef_sample_r2(d)
+        assert np.max(np.abs(sample_r2(d) - lstsq_sample_r2(d))) < 1e-9
+        out = tmp_path / "report.json"
+        assert run("eval", "--true-graph", graph, "--data", data, "--out", out) == 0
+        assert -1.0 <= read_json(out)["r2_rank_corr"] <= 1.0
+
 
 class TestBench:
     def test_grid_shape_and_determinism(self, tmp_path):
@@ -260,6 +280,54 @@ class TestBench:
         row = dict(zip(lines[0].split(","), lines[1].split(",")))
         assert row["failures"] == "2"
         assert row["r2_pop_mean"] == "nan"
+
+    def test_ill_conditioned_data_are_not_failures(self, tmp_path):
+        # Two of the zarx replications at n = 41 have full-rank data with
+        # cond(X) near 1e10, which failed while sample R^2 came from the
+        # correlation matrix. The n = 60 zarx failures come from the model's
+        # implied correlation matrix and remain.
+        out = tmp_path / "r.csv"
+        assert run("bench", "--reps", 3, "--p-list", 40, "--avg-degree", 39,
+                   "--shapes", "er", "--methods", "dao,zarx,tetrad",
+                   "--sample-sizes", "41,60", "--seed", 9, "--out", out) == 0
+        lines = out.read_text().splitlines()
+        rows = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+        failures = {(r["method"], r["n"]): r["failures"] for r in rows}
+        assert failures == {
+            ("dao", "41"): "0", ("dao", "60"): "0",
+            ("zarx", "41"): "0", ("zarx", "60"): "3",
+            ("tetrad", "41"): "0", ("tetrad", "60"): "0",
+        }
+
+    def test_one_data_factorization_per_replication(self, tmp_path, monkeypatch):
+        factored = []
+        tall_qr = []
+        data_factor, qr = cli._data_factor, np.linalg.qr
+
+        def counting_data_factor(d):
+            factored.append(d)
+            return data_factor(d)
+
+        def counting_qr(a, *args, **kwargs):
+            if a.shape[0] > a.shape[1]:
+                tall_qr.append(a.shape)
+            return qr(a, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "_data_factor", counting_data_factor)
+        monkeypatch.setattr(np.linalg, "qr", counting_qr)
+        out = tmp_path / "r.csv"
+        assert run("bench", "--reps", 3, "--p-list", "5,8", "--avg-degree", 2,
+                   "--shapes", "er,sfo", "--methods", "dao,zarx,tetrad-std",
+                   "--sample-sizes", "60,200", "--seed", 4, "--out", out) == 0
+        lines = out.read_text().splitlines()
+        assert all(line.split(",")[5] == "0" for line in lines[1:])  # no failures
+        reps = 3 * 2 * 2 * 3 * 2
+        assert len(factored) == reps
+        assert len(tall_qr) == reps
+        # The factor is not kept on the dataset.
+        for d in factored:
+            assert set(vars(d)) == {"values", "names", "meta"}
+            assert not any(isinstance(v, np.ndarray) for v in d.meta.values())
 
     @pytest.mark.parametrize("bad", [
         ("--p-list", 5, "--avg-degree", 9),

@@ -25,7 +25,19 @@ from dagonion import (
     sortability_rank_corr,
     varsortability_scores,
 )
-from util import all_pairs, brute_pair_counts, enumerate_dags, enumerate_pdags
+from util import (
+    DEGENERATE,
+    all_pairs,
+    brute_pair_counts,
+    corrcoef_sample_r2,
+    degenerate_data,
+    enumerate_dags,
+    enumerate_pdags,
+    lstsq_sample_r2,
+    mixed_data,
+    model_data,
+    near_collinear_data,
+)
 
 
 class TestPdagType:
@@ -205,6 +217,73 @@ class TestSampleR2:
         d = Dataset(np.eye(3), ("a", "b", "c"))
         with pytest.raises(RankDeficientDataError):
             sample_r2(d)
+
+
+class TestSampleR2Oracle:
+    """sample_r2 from the QR factor of the data against the Cholesky factor
+    of the sample correlation matrix."""
+
+    @pytest.mark.parametrize("method", ["dao", "zarx", "tetrad"])
+    def test_matches_oracle_on_models(self, method):
+        rng = np.random.default_rng(11)
+        for shuffle in (False, True):
+            # Sparse, and complete at two sizes; n from p + 1 up.
+            for p, deg in ((10, 3), (8, 7), (12, 11)):
+                for n in (p + 1, p + 2, 500):
+                    g = er_dag(p, deg, rng)
+                    if shuffle:
+                        g, _ = shuffle_labels(g, rng)
+                    d = model_data(method, g, n, rng)
+                    got = sample_r2(d)
+                    assert np.max(np.abs(got - corrcoef_sample_r2(d))) < 1e-9
+                    assert np.max(np.abs(got - lstsq_sample_r2(d))) < 1e-9
+
+    @pytest.mark.parametrize("first", [True, False])
+    @pytest.mark.parametrize("kind", sorted(DEGENERATE))
+    def test_exact_collinearity_raises(self, kind, first):
+        # Raises wherever the oracle raises, and also where rounding let the
+        # correlation matrix's Cholesky factorization through.
+        with pytest.raises(RankDeficientDataError):
+            sample_r2(degenerate_data(kind, first))
+
+    @pytest.mark.parametrize("delta", [10.0**-k for k in range(2, 9)])
+    def test_ill_conditioned_full_rank_data(self, delta):
+        # The correlation matrix has the squared condition number of the
+        # data, so its Cholesky path loses accuracy much sooner.
+        d = near_collinear_data(delta)
+        want = lstsq_sample_r2(d)
+        err = np.max(np.abs(sample_r2(d) - want))
+        assert err < 1e-9
+        assert err <= np.max(np.abs(corrcoef_sample_r2(d) - want))
+
+    def test_full_rank_data_the_oracle_rejects(self):
+        # cond(X) is about 1e9: the oracle's Cholesky factorization fails,
+        # the data factor gives an R^2 near the least-squares one.
+        d = near_collinear_data(1e-9)
+        with pytest.raises(RankDeficientDataError):
+            corrcoef_sample_r2(d)
+        assert np.max(np.abs(sample_r2(d) - lstsq_sample_r2(d))) < 1e-7
+
+    @settings(max_examples=60)
+    @given(
+        p=st.integers(2, 12),
+        extra=st.integers(1, 188),
+        seed=st.integers(0, 2**32 - 1),
+        degenerate=st.sampled_from([None, *sorted(DEGENERATE)]),
+        first=st.booleans(),
+    )
+    def test_property_matches_oracle(self, p, extra, seed, degenerate, first):
+        rng = np.random.default_rng(seed)
+        d = mixed_data(p, min(p + extra, 200), rng, degenerate, first)
+        try:
+            want = corrcoef_sample_r2(d)
+        except RankDeficientDataError:
+            want = None
+        if want is None or degenerate is not None:
+            with pytest.raises(RankDeficientDataError):
+                sample_r2(d)
+        else:
+            assert np.max(np.abs(sample_r2(d) - want)) < 1e-9
 
 
 class TestSortabilityRankCorr:

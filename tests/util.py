@@ -16,8 +16,12 @@ from dagonion import (
     Pdag,
     RankDeficientDataError,
     SemParameters,
+    dao_sample,
     sample_mpii,
+    simulate,
     source_first_order,
+    tetrad_params,
+    zarx_params,
 )
 
 
@@ -118,11 +122,17 @@ def is_source_first(order: tuple[int, ...], g: Dag) -> bool:
     return True
 
 
-def lstsq_sort_regress(d: Dataset, scores: np.ndarray, threshold: float) -> Pdag:
-    """Sort-and-regress with one least-squares solve per column: the oracle
-    for the single-factorization learners."""
-    if threshold < 0 or np.isnan(threshold):
-        raise ValueError(f"threshold must be nonnegative, got {threshold}")
+def parents(g: Dag, v: int) -> tuple[int, ...]:
+    """Parents of ``v`` in ascending label order."""
+    return tuple(sorted(a for a, b in g.edges if b == v))
+
+
+def children(g: Dag, v: int) -> tuple[int, ...]:
+    """Children of ``v`` in ascending label order."""
+    return tuple(sorted(b for a, b in g.edges if a == v))
+
+
+def _require_full_rank_shape(d: Dataset) -> None:
     if d.n <= d.p:
         raise RankDeficientDataError(
             f"need more rows than columns, got n={d.n}, p={d.p}"
@@ -130,6 +140,118 @@ def lstsq_sort_regress(d: Dataset, scores: np.ndarray, threshold: float) -> Pdag
     sd = d.values.std(axis=0, ddof=1)
     if np.any(sd == 0):
         raise RankDeficientDataError("a column has zero sample variance")
+
+
+def corrcoef_sample_r2(d: Dataset) -> np.ndarray:
+    """Sample R^2 from the Cholesky factor of the sample correlation matrix:
+    the oracle for ``sample_r2``, which factors the data instead."""
+    _require_full_rank_shape(d)
+    try:
+        L = np.linalg.cholesky(np.corrcoef(d.values, rowvar=False))
+    except np.linalg.LinAlgError as exc:
+        raise RankDeficientDataError("sample correlation matrix is singular") from exc
+    Linv = linalg.solve_triangular(L, np.eye(d.p), lower=True)
+    return 1.0 - 1.0 / np.einsum("ji,ji->i", Linv, Linv)
+
+
+def lstsq_sample_r2(d: Dataset) -> np.ndarray:
+    """Sample R^2 from one least-squares fit of each centered column on all
+    the others: an accuracy reference for ill-conditioned data."""
+    X = d.values - d.values.mean(axis=0)
+    r2 = np.empty(d.p)
+    for i in range(d.p):
+        rest = np.delete(X, i, axis=1)
+        coef = np.linalg.lstsq(rest, X[:, i], rcond=None)[0]
+        resid = X[:, i] - rest @ coef
+        r2[i] = 1.0 - (resid @ resid) / (X[:, i] @ X[:, i])
+    return r2
+
+
+def data_qr_sort_regress(d: Dataset, scores: np.ndarray, threshold: float) -> Pdag:
+    """Sort-and-regress from the QR factorization of the sorted n x p data:
+    the oracle for ``sort_regress``, which factors the p x p data factor in
+    sorted column order instead."""
+    if threshold < 0 or np.isnan(threshold):
+        raise ValueError(f"threshold must be nonnegative, got {threshold}")
+    _require_full_rank_shape(d)
+    order = np.argsort(scores, kind="stable")
+    X = d.values[:, order]
+    X = X - X.mean(axis=0)
+    R = np.linalg.qr(X, mode="r")
+    piv = np.abs(np.diag(R))[:-1]
+    if np.any(piv <= np.finfo(float).eps * max(X.shape) * piv.max(initial=0.0)):
+        raise RankDeficientDataError(
+            "predecessor columns are collinear; regression is rank deficient"
+        )
+    coef = linalg.solve_triangular(R[:-1, :-1], np.triu(R, 1)[:-1])
+    src, dst = np.nonzero(np.abs(coef) > threshold)
+    edges = frozenset(
+        (int(a) + 1, int(b) + 1) for a, b in zip(order[src], order[dst])
+    )
+    return Pdag(d.p, edges, frozenset())
+
+
+def model_data(method: str, g: Dag, n: int, rng: np.random.Generator) -> Dataset:
+    """Gaussian data of size n from a dao, zarx or tetrad model of ``g``."""
+    if method == "dao":
+        _, params = dao_sample(g, rng)
+    else:
+        params = (zarx_params if method == "zarx" else tetrad_params)(g, rng)
+    return simulate(params, "gaussian", n, rng)
+
+
+def with_column(vals: np.ndarray, col: np.ndarray, first: bool) -> np.ndarray:
+    return np.column_stack([col, vals] if first else [vals, col])
+
+
+# Columns that make the data exactly rank deficient, built from columns 1-3
+# of the others.
+DEGENERATE = {
+    "duplicate": lambda v: v[:, 2],
+    "affine": lambda v: 2.5 * v[:, 2] + 1.0,
+    "sum": lambda v: v[:, 1] + v[:, 3],
+    "constant": lambda v: np.full(len(v), 0.1),
+    "zero": lambda v: np.zeros(len(v)),
+}
+
+
+def degenerate_data(kind: str, first: bool) -> Dataset:
+    """Six independent columns plus one ``DEGENERATE[kind]`` column, placed
+    first or last."""
+    rng = np.random.default_rng(3)
+    vals = rng.standard_normal((40, 6)) * rng.uniform(0.5, 3.0, 6)
+    vals = with_column(vals, DEGENERATE[kind](vals), first)
+    return Dataset(vals, tuple(f"X{i}" for i in range(1, 8)))
+
+
+def mixed_data(
+    p: int, n: int, rng: np.random.Generator, degenerate: str | None = None, first: bool = False
+) -> Dataset:
+    """Well-conditioned data with nonzero regression coefficients, from
+    unit-lower mixing and column scales in [0.5, 3], plus optionally one
+    ``DEGENERATE[degenerate]`` column placed first or last."""
+    mix = np.eye(p) + np.tril(rng.uniform(-1.0, 1.0, (p, p)), -1)
+    vals = rng.standard_normal((n, p)) @ mix.T * rng.uniform(0.5, 3.0, p)
+    if degenerate is not None:
+        # Tiling gives the column builders the four columns they index.
+        vals = with_column(vals, DEGENERATE[degenerate](np.tile(vals, 4)), first)
+    return Dataset(vals, tuple(f"X{i}" for i in range(1, vals.shape[1] + 1)))
+
+
+def near_collinear_data(delta: float) -> Dataset:
+    """Four independent columns, then the first plus delta * noise."""
+    rng = np.random.default_rng(12)
+    vals = rng.standard_normal((60, 4))
+    vals = np.column_stack([vals, vals[:, 0] + delta * rng.standard_normal(60)])
+    return Dataset(vals, tuple("abcde"))
+
+
+def lstsq_sort_regress(d: Dataset, scores: np.ndarray, threshold: float) -> Pdag:
+    """Sort-and-regress with one least-squares solve per column: the oracle
+    for the single-factorization learners."""
+    if threshold < 0 or np.isnan(threshold):
+        raise ValueError(f"threshold must be nonnegative, got {threshold}")
+    _require_full_rank_shape(d)
     X = d.values - d.values.mean(axis=0)
     order = np.argsort(scores, kind="stable")
     edges: set[tuple[int, int]] = set()
