@@ -23,7 +23,9 @@ from __future__ import annotations
 import numpy as np
 from scipy import linalg
 
-from .metrics import Pdag, _data_factor, _require_pivots, sample_r2, varsortability_scores
+from .metrics import (
+    Pdag, _data_factor, _require_pivots, _sample_r2_from_factor, varsortability_scores
+)
 from .simdata import Dataset
 
 __all__ = ["sort_regress", "var_sort_regress", "r2_sort_regress"]
@@ -38,9 +40,13 @@ def sort_regress(d: Dataset, scores: np.ndarray, threshold: float) -> Pdag:
     NaN threshold and RankDeficientDataError when n <= p, a column is
     constant, or predecessor columns are collinear.
     """
-    if threshold < 0 or np.isnan(threshold):
-        raise ValueError(f"threshold must be nonnegative, got {threshold}")
+    _require_threshold(threshold)
     return _sort_regress_from_factor(d, _data_factor(d), scores, threshold)
+
+
+def _require_threshold(threshold: float) -> None:
+    if not threshold >= 0:
+        raise ValueError(f"threshold must be nonnegative, got {threshold}")
 
 
 def _sort_regress_from_factor(
@@ -73,4 +79,7 @@ def r2_sort_regress(d: Dataset, threshold: float = DEFAULT_THRESHOLD) -> Pdag:
     any column; the coefficients and threshold are not, so the estimate
     still depends on the scale of the input columns.
     """
-    return sort_regress(d, sample_r2(d), threshold)
+    R = _data_factor(d)
+    r2 = _sample_r2_from_factor(R, d.n)
+    _require_threshold(threshold)
+    return _sort_regress_from_factor(d, R, r2, threshold)

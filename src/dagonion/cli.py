@@ -22,13 +22,14 @@ import argparse
 import os
 import sys
 from dataclasses import asdict, astuple
+from functools import partial
 from itertools import product
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .baselines import DEFAULT_THRESHOLD, _sort_regress_from_factor
+from .baselines import DEFAULT_THRESHOLD, _require_threshold, _sort_regress_from_factor
 from .errors import NumericalError, SchemaError
 from .fileio import (
     atomic_write_text,
@@ -306,8 +307,7 @@ def cmd_bench(args) -> list[Path]:
             raise ValueError(f"unknown method {m!r}; choose from {BENCH_METHODS}")
     if args.reps < 1:
         raise ValueError(f"need at least one replication, got --reps {args.reps}")
-    if not args.threshold >= 0:
-        raise ValueError(f"threshold must be nonnegative, got {args.threshold}")
+    _require_threshold(args.threshold)
     if not 0 <= args.avg_degree <= min(p_list) - 1:
         raise ValueError(
             f"average degree {args.avg_degree} must lie in [0, p-1] for every p in {p_list}"
@@ -353,14 +353,16 @@ def cmd_replay(args) -> list[Path]:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    # Exact option names only: an abbreviated --manifest escapes _strip_manifest.
+    new_parser = partial(argparse.ArgumentParser, allow_abbrev=False)
+    parser = new_parser(
         prog="dagonion",
         description="Random DAGs, uniform Markov correlation matrices, SEM data, and graph metrics.",
     )
     parser.add_argument("--version", action="version", version=f"dagonion {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=new_parser)
 
-    common = argparse.ArgumentParser(add_help=False)
+    common = new_parser(add_help=False)
     common.add_argument(
         "--manifest",
         metavar="PATH",
@@ -432,17 +434,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _strip_manifest(argv: list[str]) -> list[str]:
     out = []
-    skip = False
-    for tok in argv:
-        if skip:
-            skip = False
-            continue
+    tokens = iter(argv)
+    for tok in tokens:
         if tok == "--manifest":
-            skip = True
-            continue
-        if tok.startswith("--manifest="):
-            continue
-        out.append(tok)
+            next(tokens, None)  # and its value
+        elif not tok.startswith("--manifest="):
+            out.append(tok)
     return out
 
 

@@ -202,6 +202,8 @@ def model_from_dict(d: dict, where: str = "model") -> ModelRecord:
     _require(B.shape == (p, p), where, f'"B" must be {p}x{p}')
     _require(omega.shape == (p,), where, f'"omega" must have length {p}')
     _require(R.shape == (p, p), where, f'"R" must be {p}x{p}')
+    # json reads NaN and Infinity; B and omega are checked by SemParameters.
+    _require(np.all(np.isfinite(R)), where, '"R" entries must be finite')
     edges = frozenset(
         (j + 1, i + 1) for i, j in zip(*np.nonzero(B)) if i != j
     )

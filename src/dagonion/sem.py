@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import linalg
 
-from .errors import NonPositiveVarianceError, SingularParentBlockError
+from .errors import NonPositiveVarianceError, SingularMatrixError, SingularParentBlockError
 from .graph import Dag, source_first_order
 
 __all__ = [
@@ -27,7 +27,7 @@ __all__ = [
     "standardize",
 ]
 
-# Parent blocks whose 2-norm condition number exceeds this are treated as
+# Matrices whose 2-norm condition number exceeds this are treated as
 # numerically singular rather than silently amplifying rounding error.
 _COND_LIMIT = 1e12
 
@@ -38,7 +38,7 @@ class SemParameters:
 
     ``B[i-1, j-1]`` is the coefficient of parent j in vertex i's equation;
     entries outside the graph's edges must be exactly zero. ``omega`` holds
-    the diagonal of the error covariance and must be strictly positive.
+    the error variances, strictly positive; every entry must be finite.
     """
 
     g: Dag
@@ -53,8 +53,9 @@ class SemParameters:
             raise ValueError(f"B must be {p}x{p}, got {B.shape}")
         if omega.shape != (p,):
             raise ValueError(f"omega must have length {p}, got {omega.shape}")
-        if np.any(omega <= 0):
-            raise ValueError("omega entries must be strictly positive")
+        # NaN-safe: a NaN entry fails every comparison.
+        if not (np.all(np.isfinite(B)) and np.all((omega > 0) & (omega < np.inf))):
+            raise ValueError("B and omega must be finite, omega strictly positive")
         mask = np.zeros((p, p), dtype=bool)
         for a, b in self.g.edges:
             mask[b - 1, a - 1] = True
@@ -100,8 +101,7 @@ def implied_covariance(params: SemParameters) -> np.ndarray:
     )
     S = (A * params.omega[order]) @ A.T
     S = (S + S.T) / 2.0
-    pos = np.empty(p, dtype=np.intp)
-    pos[order] = np.arange(p)
+    pos = np.argsort(order)
     return S[np.ix_(pos, pos)]
 
 
@@ -170,7 +170,14 @@ def cov_to_dag(g: Dag, sigma: np.ndarray) -> SemParameters:
 def standardize(params: SemParameters) -> SemParameters:
     """Rescale a SEM so every variable's implied variance is exactly one.
 
-    Composition of cov_to_corr with cov_to_dag on the implied covariance;
-    idempotent, and a fixed point on models that are already standardized.
+    A change of units, B_std = D^-1 B D and omega_std = omega / sigma_ii with
+    D = diag(sqrt(sigma_ii)) from the implied covariance; idempotent. Raises
+    SingularMatrixError when some omega_std is below 1e-12 or NaN: since
+    (R^-1)_ii >= 1/omega_std_i, the implied correlation R has cond > 1e12.
     """
-    return cov_to_dag(params.g, cov_to_corr(implied_covariance(params)))
+    sigma = np.diag(implied_covariance(params))
+    omega = params.omega / sigma
+    if not np.all(omega >= 1.0 / _COND_LIMIT):
+        raise SingularMatrixError("a standardized error variance is below 1e-12")
+    s = np.sqrt(sigma)
+    return SemParameters(params.g, params.B / s[:, None] * s, omega)

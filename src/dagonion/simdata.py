@@ -47,30 +47,20 @@ class Dataset:
         return self.values.shape[1]
 
 
-def _draw_errors(
-    kind: str, omega_i: float, n: int, rng: np.random.Generator
-) -> np.ndarray:
-    sd = np.sqrt(omega_i)
-    if kind == "gaussian":
-        return rng.normal(0.0, sd, size=n)
-    # Exponential with scale sqrt(omega), shifted to mean zero: variance
-    # stays omega and the skewness of 2 is unaffected by the shift.
-    return rng.exponential(scale=sd, size=n) - sd
-
-
 def simulate(
     params: SemParameters,
     error_kind: str,
     n: int,
     rng: np.random.Generator,
 ) -> Dataset:
-    """Draw n samples of X = X B^T + Z column by column.
+    """Draw n samples of X = X B^T + Z from one batched p x n error draw.
 
-    Columns are generated in a consistent vertex order so every parent is
-    filled in before its children; the returned matrix keeps the original
-    label order. ``error_kind`` selects the error family: "gaussian" gives
-    normal(0, omega_i) errors, "exponential" gives mean-zero shifted
-    exponential errors with variance omega_i.
+    Row j of the draw is the j-th vertex of the source-first order, and rows
+    are completed in that order, so every parent is filled in before its
+    children; the returned matrix keeps the original label order.
+    ``error_kind`` selects the error family: "gaussian" gives normal(0,
+    omega_i) errors, "exponential" gives mean-zero shifted exponential
+    errors with variance omega_i.
     """
     if error_kind not in ERROR_KINDS:
         raise ValueError(
@@ -80,15 +70,22 @@ def simulate(
         raise ValueError(f"sample size must be at least 1, got {n}")
     p = params.g.p
     parent_map = params.g.parent_map()
-    X = np.zeros((n, p))
-    for v in source_first_order(params.g):
-        i0 = v - 1
-        z = _draw_errors(error_kind, float(params.omega[i0]), n, rng)
-        pa0 = np.asarray(parent_map[v], dtype=np.intp) - 1
-        if len(pa0):
-            X[:, i0] = X[:, pa0] @ params.B[i0, pa0] + z
-        else:
-            X[:, i0] = z
+    order = np.asarray(source_first_order(params.g), dtype=np.intp) - 1
+    pos = np.argsort(order)  # row of each vertex
+    sd = np.sqrt(params.omega[order])[:, None]
+    draw = rng.standard_normal if error_kind == "gaussian" else rng.standard_exponential
+    W = draw((p, n))
+    W *= sd
+    if error_kind == "exponential":
+        # Exponential with scale sqrt(omega), shifted to mean zero: variance
+        # stays omega and the skewness of 2 is unaffected by the shift.
+        W -= sd
+    for j, v in enumerate(order.tolist()):
+        pa = np.asarray(parent_map[v + 1], dtype=np.intp) - 1
+        W[j] = params.B[v, pa] @ W[pos[pa]] + W[j]
+    # One gather into a C-ordered n x p array: column means, and with them
+    # the bench tables, depend on the memory layout in the last bit.
+    X = W.T.take(pos, axis=1)
     names = tuple(f"X{j}" for j in range(1, p + 1))
     meta = {
         "n": n,

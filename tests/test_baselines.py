@@ -21,6 +21,7 @@ from dagonion import (
     varsortability_scores,
     zarx_params,
 )
+from dagonion import baselines, metrics
 from dagonion.baselines import sort_regress
 from util import (
     DEGENERATE,
@@ -61,6 +62,40 @@ class TestSortRegress:
     def test_negative_threshold_rejected(self):
         with pytest.raises(ValueError):
             var_sort_regress(_independent_data(n=50, p=3, seed=3), threshold=-1.0)
+
+    def test_bad_threshold_versus_rank_deficiency(self):
+        # A bad threshold is checked before the data in sort_regress and
+        # var_sort_regress, and after the R^2 scores in r2_sort_regress.
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal(50)
+        dup = Dataset(np.column_stack([x, x, rng.standard_normal(50)]), ("a", "b", "c"))
+        full = _independent_data(n=50, p=3, seed=3)
+        for threshold in (-1.0, np.nan):
+            for fit in (var_sort_regress, r2_sort_regress):
+                with pytest.raises(ValueError):
+                    fit(full, threshold=threshold)
+            with pytest.raises(ValueError):
+                sort_regress(dup, np.arange(3.0), threshold)
+            with pytest.raises(ValueError):
+                var_sort_regress(dup, threshold=threshold)
+            with pytest.raises(RankDeficientDataError):
+                r2_sort_regress(dup, threshold=threshold)
+
+    def test_r2_learner_factors_the_data_once(self, monkeypatch):
+        calls = []
+        data_factor = metrics._data_factor
+
+        def counting_data_factor(d):
+            calls.append(d)
+            return data_factor(d)
+
+        monkeypatch.setattr(metrics, "_data_factor", counting_data_factor)
+        monkeypatch.setattr(baselines, "_data_factor", counting_data_factor)
+        d = model_data("zarx", er_dag(6, 2, np.random.default_rng(8)), 80,
+                       np.random.default_rng(9))
+        est = r2_sort_regress(d)
+        assert len(calls) == 1
+        assert est == sort_regress(d, sample_r2(d), 0.1)
 
     def test_threshold_sees_raw_coefficient_scale(self):
         # Blowing up one independent column inflates the raw regression

@@ -151,6 +151,25 @@ class TestSimulate:
             m.pop("error_centering")
         assert mg == me
 
+    @pytest.mark.parametrize(
+        "key, value", [("omega", float("nan")), ("B", float("inf")), ("R", float("nan"))]
+    )
+    def test_non_finite_model_is_schema_error(self, tmp_path, capsys, key, value):
+        model = self._model(tmp_path)
+        raw = read_json(model)
+        if key == "omega":
+            raw["omega"][0] = value
+        else:
+            # An entry at an edge of B, so only its value is wrong.
+            i, j = np.argwhere(np.array(raw["B"]) != 0)[0]
+            raw[key][i][j] = value
+        model.write_text(json.dumps(raw))
+        out = tmp_path / "x.csv"
+        assert run("simulate", "--model", model, "--n", 10,
+                   "--seed", 3, "--out", out) == 4
+        assert "error[io]" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_standardize_data_flag(self, tmp_path):
         model = self._model(tmp_path)
         out = tmp_path / "s.csv"
@@ -369,6 +388,42 @@ class TestManifestReplay:
         rec["outputs"][str(graph)] = "0" * 64
         manifest.write_text(json.dumps(rec))
         assert run("replay", "--manifest", manifest) == 4
+
+
+    @pytest.mark.parametrize("flag", ["--manif", "--manifes"])
+    def test_abbreviated_option_is_usage_error(self, tmp_path, flag):
+        graph = tmp_path / "g.json"
+        manifest = tmp_path / "m.json"
+        assert run("gen-dag", "--p", 6, "--avg-degree", 2, "--seed", 4,
+                   "--out", graph, flag, manifest) == 2
+        assert not graph.exists() and not manifest.exists()
+
+    def test_no_option_abbreviations(self, tmp_path):
+        out = tmp_path / "r.csv"
+        assert run("bench", "--reps", 1, "--p", 5, "--avg-degree", 2,
+                   "--sample-sizes", 100, "--seed", 1, "--out", out) == 2
+        assert run("gen-dag", "--p", 6, "--avg-deg", 2, "--seed", 4,
+                   "--out", tmp_path / "g.json") == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("abbreviated", [False, True])
+    def test_tampered_manifest_fails_replay_twice(self, tmp_path, abbreviated):
+        # A manifest recorded through an abbreviated --manifest kept the flag
+        # in its argv, so replaying it used to rewrite the manifest with the
+        # fresh hashes: the first replay failed and the second passed.
+        graph = tmp_path / "g.json"
+        manifest = tmp_path / "m.json"
+        assert run("gen-dag", "--p", 6, "--avg-degree", 2, "--seed", 4,
+                   "--out", graph, "--manifest", manifest) == 0
+        rec = read_json(manifest)
+        rec["outputs"][str(graph)] = "0" * 64
+        if abbreviated:
+            rec["argv"] += ["--manif", str(manifest)]
+        manifest.write_text(json.dumps(rec))
+        tampered = manifest.read_bytes()
+        for _ in range(2):
+            assert run("replay", "--manifest", manifest) == 4
+            assert manifest.read_bytes() == tampered
 
 
 class TestEnvAndMisc:

@@ -136,6 +136,28 @@ class TestModelFormat:
             model_from_dict({**raw, **bad})
 
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"omega": [1.0, float("nan")]},
+            {"omega": [float("inf"), 1.0]},
+            {"B": [[0, 0], [float("inf"), 0]]},
+            {"B": [[0, 0], [float("nan"), 0]]},
+            {"R": [[1, float("nan")], [0, 1]]},
+            {"R": [[1, 0], [0, float("-inf")]]},
+        ],
+    )
+    def test_non_finite_entries(self, bad, tmp_path):
+        raw = {"p": 2, "B": [[0, 0], [0.5, 0]], "omega": [1, 1],
+               "R": [[1, 0], [0, 1]], "method": "zarx"}
+        model_from_dict(raw)
+        # json writes and reads NaN and Infinity.
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({**raw, **bad}))
+        with pytest.raises(SchemaError):
+            model_from_dict(read_json(path))
+
+
 class TestPdagFormat:
     def test_round_trip(self):
         est = Pdag(4, frozenset({(2, 1)}), frozenset({(3, 4)}))

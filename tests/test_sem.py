@@ -4,17 +4,24 @@ import pytest
 from dagonion import (
     Dag,
     NonPositiveVarianceError,
+    NumericalError,
     SemParameters,
+    SingularMatrixError,
     SingularParentBlockError,
     cov_to_corr,
     cov_to_dag,
     dao_sample,
     er_dag,
     implied_covariance,
+    sfi_rewire,
+    sfo_rewire,
+    shuffle_labels,
     standardize,
     tetrad_params,
     zarx_params,
 )
+from dagonion.cli import _apply_shape, _rng
+from util import refit_standardize
 
 CHAIN2 = Dag(2, frozenset({(1, 2)}))
 
@@ -35,6 +42,15 @@ class TestSemParameters:
     def test_rejects_nonpositive_omega(self):
         with pytest.raises(ValueError):
             SemParameters(CHAIN2, np.zeros((2, 2)), np.array([1.0, 0.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        with pytest.raises(ValueError):
+            SemParameters(CHAIN2, np.zeros((2, 2)), np.array([1.0, bad]))
+        B = np.zeros((2, 2))
+        B[1, 0] = bad  # on the edge 1 -> 2
+        with pytest.raises(ValueError):
+            SemParameters(CHAIN2, B, np.ones(2))
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError):
@@ -215,3 +231,104 @@ class TestStandardize:
             params = maker(g, rng)
             std = standardize(params)
             assert np.all(np.sign(std.B) == np.sign(params.B))
+
+
+def _omega_std(params):
+    return params.omega / np.diag(implied_covariance(params))
+
+
+def _bench_model(seed, cell_idx, rep, shape, p=30, avg_degree=29):
+    """The zarx model that ``bench`` draws for one replication of a cell."""
+    rng = _rng(seed, spawn_key=(cell_idx, rep))
+    g, _ = _apply_shape(er_dag(p, avg_degree, rng), shape, rng)
+    return zarx_params(g, rng)
+
+
+class TestRefitOracle:
+    """Rescaling B and omega agrees with refitting the model to its implied
+    correlation matrix. On models whose smallest standardized error
+    variance is at least 1e-3 the two agree within 1e-11 in B and 1e-13 in
+    omega; below that the refit loses accuracy with the parent blocks'
+    conditioning, while the rescaling stays exact to a few ulps."""
+
+    @pytest.mark.parametrize("maker", [zarx_params, tetrad_params])
+    @pytest.mark.parametrize("shape", ["er", "sfi", "sfo", "shuffled"])
+    def test_matches_oracle_on_well_conditioned_models(self, maker, shape):
+        rng = np.random.default_rng(30)
+        compared = 0
+        for p in (2, 5, 12, 30, 60):
+            for deg in (1, 2, 4):
+                g = er_dag(p, min(deg, p - 1), rng)
+                if shape == "sfi":
+                    g = sfi_rewire(g, rng)
+                elif shape == "sfo":
+                    g = sfo_rewire(g, rng)
+                elif shape == "shuffled":
+                    g, _ = shuffle_labels(g, rng)
+                params = maker(g, rng)
+                if _omega_std(params).min() < 1e-3:
+                    continue
+                std, ref = standardize(params), refit_standardize(params)
+                assert np.max(np.abs(std.B - ref.B)) <= 1e-11
+                assert np.max(np.abs(std.omega - ref.omega)) <= 1e-13
+                assert std.g == params.g
+                compared += 1
+        assert compared >= 10
+
+    def test_correlation_matrix_unchanged(self):
+        # Exact on ill-conditioned models too, where the refit drifts.
+        rng = np.random.default_rng(31)
+        for maker in (zarx_params, tetrad_params):
+            for _ in range(5):
+                params = maker(er_dag(25, 12, rng), rng)
+                std = standardize(params)
+                R = cov_to_corr(implied_covariance(params))
+                assert np.max(np.abs(implied_covariance(std) - R)) < 1e-9
+                assert np.max(np.abs(np.diag(implied_covariance(std)) - 1.0)) < 1e-12
+
+    def test_failure_rule_on_complete_zarx(self):
+        # bench --reps 2 --p-list 30 --avg-degree 29 --shapes er,sfi
+        # --methods zarx-std,tetrad-std --seed 3: cell 0 is er/zarx-std and
+        # fails in both replications, cell 2 is sfi/zarx-std and passes.
+        for rep, expected in ((0, 4.4e-14), (1, 1.8e-13)):
+            params = _bench_model(3, 0, rep, "er")
+            assert abs(_omega_std(params).min() / expected - 1.0) < 0.02
+            with pytest.raises(SingularMatrixError):
+                standardize(params)
+            with pytest.raises(SingularParentBlockError):
+                refit_standardize(params)
+        for rep in (0, 1):
+            params = _bench_model(3, 2, rep, "sfi")
+            assert _omega_std(params).min() >= 2.6e-10
+            assert np.all(standardize(params).omega >= 2.6e-10)
+
+    def test_rescaling_passes_where_the_refit_failed(self):
+        # bench --reps 6 --p-list 25 --avg-degree 24 --shapes er,sfi,sfo
+        # --methods zarx-std,tetrad-std --seed 4, cell 2 (sfi/zarx-std),
+        # replication 1: a parent block's condition number exceeds 1e12, but
+        # every standardized error variance is at least 4.4e-11.
+        params = _bench_model(4, 2, 1, "sfi", p=25, avg_degree=24)
+        with pytest.raises(SingularParentBlockError):
+            refit_standardize(params)
+        std = standardize(params)
+        assert std.omega.min() >= 4.4e-11
+        assert np.max(np.abs(np.diag(implied_covariance(std)) - 1.0)) < 1e-9
+
+    @pytest.mark.parametrize("coefs", [
+        # A 3-chain: the implied variances overflow to inf.
+        {(1, 2): 1e200, (2, 3): 1e200},
+        # A complete 4-vertex DAG with one negative coefficient: the last
+        # implied variance is NaN.
+        {(1, 2): 1e200, (1, 3): 1e200, (1, 4): 1e200, (2, 3): 1e200,
+         (2, 4): 1e200, (3, 4): -1e200},
+    ])
+    def test_overflowing_model_is_numerical_error(self, coefs):
+        p = max(b for _, b in coefs)
+        B = np.zeros((p, p))
+        for (a, b), c in coefs.items():
+            B[b - 1, a - 1] = c
+        params = SemParameters(Dag(p, frozenset(coefs)), B, np.ones(p))
+        # implied_covariance overflows to inf, and inf * 0 then gives NaN.
+        with pytest.warns(RuntimeWarning, match="overflow|invalid value"):
+            with pytest.raises(SingularMatrixError):
+                standardize(params)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import stats
 
 from dagonion import (
@@ -10,10 +12,14 @@ from dagonion import (
     dao_sample,
     er_dag,
     implied_covariance,
+    sfi_rewire,
+    shuffle_labels,
     simulate,
     standardize_data,
+    tetrad_params,
     zarx_params,
 )
+from util import column_loop_simulate
 
 
 def _independent_params(p=5):
@@ -83,6 +89,70 @@ class TestSimulate:
         assert d.meta["error_centering"] == "shifted to mean zero"
         assert d.meta["standardized"] is False
         assert d.names == ("X1", "X2")
+
+
+def _graph(kind: str, rng: np.random.Generator) -> Dag:
+    if kind == "er":
+        return er_dag(40, 6, rng)
+    if kind == "sfi":
+        return sfi_rewire(er_dag(40, 6, rng), rng)
+    if kind == "shuffled":
+        return shuffle_labels(sfi_rewire(er_dag(40, 8, rng), rng), rng)[0]
+    if kind == "complete":
+        return shuffle_labels(er_dag(25, 24, rng), rng)[0]
+    if kind == "empty":
+        return Dag(12, frozenset())
+    return Dag(1, frozenset())  # "p1"
+
+
+def _params(method: str, g: Dag, rng: np.random.Generator) -> SemParameters:
+    if method == "dao":
+        return dao_sample(g, rng)[1]
+    return (zarx_params if method == "zarx" else tetrad_params)(g, rng)
+
+
+def _assert_matches_oracle(params, kind, n, seed):
+    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    values = simulate(params, kind, n, rng).values
+    expected = column_loop_simulate(params, kind, n, oracle_rng)
+    assert np.array_equal(values, expected)
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+    assert values.flags.c_contiguous
+
+
+class TestColumnLoopOracle:
+    """The batched draw gives the column loop's data bit for bit, leaves
+    the generator in the same state, and returns a C-ordered array."""
+
+    @pytest.mark.parametrize("graph", ["er", "sfi", "shuffled", "complete", "empty", "p1"])
+    @pytest.mark.parametrize("method", ["dao", "zarx", "tetrad"])
+    @pytest.mark.parametrize("kind", ["gaussian", "exponential"])
+    def test_matches_oracle(self, graph, method, kind):
+        rng = np.random.default_rng(20)
+        params = _params(method, _graph(graph, rng), rng)
+        for n in (1, 7, 500):
+            _assert_matches_oracle(params, kind, n, seed=n)
+
+    def test_dense_graph_large_n(self):
+        # Parent sets of up to 199 vertices: the gemv sums of both layouts.
+        rng = np.random.default_rng(21)
+        g, _ = shuffle_labels(er_dag(200, 100, rng), rng)
+        params = tetrad_params(g, rng)
+        for kind in ("gaussian", "exponential"):
+            _assert_matches_oracle(params, kind, 2000, seed=22)
+
+    @given(
+        p=st.integers(1, 25),
+        frac=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+        method=st.sampled_from(["dao", "zarx", "tetrad"]),
+        kind=st.sampled_from(["gaussian", "exponential"]),
+        n=st.integers(1, 60),
+    )
+    def test_property_matches_oracle(self, p, frac, seed, method, kind, n):
+        rng = np.random.default_rng(seed)
+        g, _ = shuffle_labels(er_dag(p, frac * (p - 1), rng), rng)
+        _assert_matches_oracle(_params(method, g, rng), kind, n, seed + 1)
 
 
 class TestDataset:

@@ -16,7 +16,10 @@ from dagonion import (
     Pdag,
     RankDeficientDataError,
     SemParameters,
+    cov_to_corr,
+    cov_to_dag,
     dao_sample,
+    implied_covariance,
     sample_mpii,
     simulate,
     source_first_order,
@@ -366,3 +369,37 @@ def list_sfo_rewire(g: Dag, rng: np.random.Generator) -> Dag:
             edges.append((j, i))
             out_deg[j - 1] += 1.0
     return Dag(g.p, frozenset(edges))
+
+
+def refit_standardize(params: SemParameters) -> SemParameters:
+    """Refit the model to its implied correlation matrix: the oracle for
+    ``standardize``, which rescales B and omega instead."""
+    return cov_to_dag(params.g, cov_to_corr(implied_covariance(params)))
+
+
+def _draw_errors(
+    kind: str, omega_i: float, n: int, rng: np.random.Generator
+) -> np.ndarray:
+    sd = np.sqrt(omega_i)
+    if kind == "gaussian":
+        return rng.normal(0.0, sd, size=n)
+    return rng.exponential(scale=sd, size=n) - sd
+
+
+def column_loop_simulate(
+    params: SemParameters, error_kind: str, n: int, rng: np.random.Generator
+) -> np.ndarray:
+    """The n x p data filled column by column, one error draw per vertex in
+    source-first order: the oracle for ``simulate``, which draws every error
+    at once and completes the rows of a p x n buffer."""
+    parent_map = params.g.parent_map()
+    X = np.zeros((n, params.g.p))
+    for v in source_first_order(params.g):
+        i0 = v - 1
+        z = _draw_errors(error_kind, float(params.omega[i0]), n, rng)
+        pa0 = np.asarray(parent_map[v], dtype=np.intp) - 1
+        if len(pa0):
+            X[:, i0] = X[:, pa0] @ params.B[i0, pa0] + z
+        else:
+            X[:, i0] = z
+    return X
