@@ -12,8 +12,10 @@ replay     re-run a recorded command and verify its outputs byte for byte
 Every command takes an integer --seed where randomness is involved, embeds
 the seed and tool version in its outputs, and writes files atomically.
 Relative --out paths are resolved against $DAGONION_OUT_DIR when that is
-set. Exit codes: 0 success, 2 usage, 3 numerical failure, 4 I/O or file
-format problems.
+set. A --manifest records the working directory, and replay re-runs the
+command and checks its outputs there. Exit codes: 0 success, 2 usage, 3
+numerical failure (including data that overflow in simulate), 4 I/O or
+file format problems.
 """
 
 from __future__ import annotations
@@ -338,16 +340,26 @@ def cmd_replay(args) -> list[Path]:
     if not isinstance(manifest, dict) or "argv" not in manifest:
         raise SchemaError(f'{args.manifest}: missing "argv"')
     argv = [str(tok) for tok in manifest["argv"]]
-    rc = main(argv)
-    if rc != 0:
-        raise SchemaError(f"replayed command failed with exit code {rc}")
     recorded = manifest.get("outputs", {})
-    for path, digest in recorded.items():
-        actual = sha256_file(path)
-        if actual != digest:
-            raise SchemaError(
-                f"replay mismatch for {path}: recorded {digest[:12]}, got {actual[:12]}"
-            )
+    # Relative paths in argv and outputs mean what they meant where the
+    # command ran; a manifest without "cwd" replays in the current directory.
+    here = os.getcwd()
+    cwd = manifest.get("cwd", here)
+    if not isinstance(cwd, str):
+        raise SchemaError(f'{args.manifest}: bad "cwd": {cwd!r}')
+    os.chdir(cwd)
+    try:
+        rc = main(argv)
+        if rc != 0:
+            raise SchemaError(f"replayed command failed with exit code {rc}")
+        for path, digest in recorded.items():
+            actual = sha256_file(path)
+            if actual != digest:
+                raise SchemaError(
+                    f"replay mismatch for {path}: recorded {digest[:12]}, got {actual[:12]}"
+                )
+    finally:
+        os.chdir(here)
     sys.stdout.write(f"replay ok: {len(recorded)} output(s) verified\n")
     return []
 
@@ -466,6 +478,7 @@ def main(argv: list[str] | None = None) -> int:
             "command": args.command,
             "seed": getattr(args, "seed", None),
             "argv": _strip_manifest(list(argv)),
+            "cwd": os.getcwd(),
             "outputs": {str(p): sha256_file(p) for p in outputs},
         }
         write_json(_resolve_out(manifest_path), record)

@@ -204,9 +204,8 @@ def model_from_dict(d: dict, where: str = "model") -> ModelRecord:
     _require(R.shape == (p, p), where, f'"R" must be {p}x{p}')
     # json reads NaN and Infinity; B and omega are checked by SemParameters.
     _require(np.all(np.isfinite(R)), where, '"R" entries must be finite')
-    edges = frozenset(
-        (j + 1, i + 1) for i, j in zip(*np.nonzero(B)) if i != j
-    )
+    i, j = np.nonzero(B)
+    edges = frozenset(zip((j[i != j] + 1).tolist(), (i[i != j] + 1).tolist()))
     try:
         g = Dag(p, edges)
         params = SemParameters(g, B, omega)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -43,11 +44,7 @@ class Dag:
             raise ValueError(f"vertex count must be positive, got {self.p}")
         if not isinstance(self.edges, frozenset):
             object.__setattr__(self, "edges", frozenset(self.edges))
-        for a, b in self.edges:
-            if not (1 <= a <= self.p and 1 <= b <= self.p):
-                raise ValueError(f"edge ({a}, {b}) outside vertex range 1..{self.p}")
-            if a == b:
-                raise ValueError(f"self-loop on vertex {a}")
+        _edge_array(self.edges, self.p)  # raises on a bad label or a self-loop
         # Acyclicity check; raises CyclicGraphError on failure.
         source_first_order(self)
 
@@ -91,10 +88,7 @@ def er_dag(p: int, avg_degree: float, rng: np.random.Generator) -> Dag:
         return Dag(p, frozenset())
     rows, cols = np.triu_indices(p, k=1)
     chosen = rng.choice(n_pairs, size=m, replace=False)
-    edges = frozenset(
-        (int(rows[k]) + 1, int(cols[k]) + 1) for k in np.asarray(chosen)
-    )
-    return Dag(p, edges)
+    return Dag(p, frozenset(zip((rows[chosen] + 1).tolist(), (cols[chosen] + 1).tolist())))
 
 
 def sfi_rewire(g: Dag, rng: np.random.Generator) -> Dag:
@@ -108,7 +102,6 @@ def sfi_rewire(g: Dag, rng: np.random.Generator) -> Dag:
 
     Requires an input whose edges all satisfy parent < child.
     """
-    _require_label_consistent(g, "sfi_rewire")
     return _rewire(g, rng, forward=False)
 
 
@@ -120,7 +113,6 @@ def sfo_rewire(g: Dag, rng: np.random.Generator) -> Dag:
     among the predecessors j < i with weight 1 + (out-degree of j
     accumulated so far).
     """
-    _require_label_consistent(g, "sfo_rewire")
     return _rewire(g, rng, forward=True)
 
 
@@ -136,7 +128,13 @@ def _rewire(g: Dag, rng: np.random.Generator, *, forward: bool) -> Dag:
     vertex's candidates, so the weights are copied once per vertex.
     """
     p = g.p
-    ends = np.array(list(g.edges), dtype=np.intp).reshape(-1, 2)
+    ends = _edge_array(g.edges, p)
+    bad = ends[ends[:, 0] >= ends[:, 1]]
+    if len(bad):
+        raise ValueError(
+            f"{'sfo' if forward else 'sfi'}_rewire requires every edge to point from "
+            f"a smaller to a larger label; offending edge {tuple(bad[0].tolist())}"
+        )
     need = np.bincount(ends[:, 1] if forward else ends[:, 0], minlength=p + 1)
     deg = np.zeros(p + 1)  # degree gained so far in the rewired graph; slot 0 unused
     edges: list[tuple[int, int]] = []
@@ -155,13 +153,22 @@ def _rewire(g: Dag, rng: np.random.Generator, *, forward: bool) -> Dag:
     return Dag(p, frozenset(edges))
 
 
-def _require_label_consistent(g: Dag, op: str) -> None:
-    bad = [(a, b) for a, b in g.edges if a >= b]
-    if bad:
-        raise ValueError(
-            f"{op} requires every edge to point from a smaller to a larger label; "
-            f"offending edge {bad[0]}"
-        )
+def _edge_array(edges, p: int) -> np.ndarray:
+    """The (m, 2) int64 array of the (a, b) pairs in ``edges``, in iteration
+    order. Raises ValueError unless every item is a pair of labels in 1..p
+    with a != b."""
+    m = len(edges)
+    try:
+        ends = np.fromiter(chain.from_iterable(edges), np.int64).reshape(m, 2)
+    except OverflowError:
+        raise ValueError(f"an edge label lies outside vertex range 1..{p}") from None
+    if ends.min(initial=1) < 1 or ends.max(initial=p) > p:
+        out = ends[((ends < 1) | (ends > p)).any(axis=1)][0]
+        raise ValueError(f"edge {tuple(out.tolist())} outside vertex range 1..{p}")
+    loops = ends[:, 0] == ends[:, 1]
+    if loops.any():
+        raise ValueError(f"self-loop on vertex {ends[loops][0, 0]}")
+    return ends
 
 
 def shuffle_labels(
@@ -172,10 +179,10 @@ def shuffle_labels(
     Returns the relabeled graph and the permutation as a tuple ``perm``
     where ``perm[v-1]`` is the new label of old vertex ``v``.
     """
-    raw = rng.permutation(g.p)
-    perm = tuple(int(x) + 1 for x in raw)
-    edges = frozenset((perm[a - 1], perm[b - 1]) for a, b in g.edges)
-    return Dag(g.p, edges), perm
+    perm = rng.permutation(g.p) + 1
+    ends = perm[_edge_array(g.edges, g.p) - 1]
+    edges = frozenset(zip(ends[:, 0].tolist(), ends[:, 1].tolist()))
+    return Dag(g.p, edges), tuple(perm.tolist())
 
 
 def source_first_order(g: Dag) -> tuple[int, ...]:

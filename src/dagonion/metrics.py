@@ -25,7 +25,7 @@ from scipy import stats
 from scipy.linalg import lapack
 
 from .errors import RankDeficientDataError, SingularMatrixError
-from .graph import Dag
+from .graph import Dag, _edge_array
 from .simdata import Dataset
 
 __all__ = [
@@ -47,10 +47,12 @@ class Pdag:
     """A partially directed graph: directed plus undirected edges.
 
     ``directed`` holds (parent, child) pairs; ``undirected`` holds unordered
-    pairs, normalized to (min, max). No pair may appear in both sets (in
-    either orientation) or in both directions of ``directed``, and
-    self-loops are rejected. Full equivalence-class semantics are not
-    enforced; this is a container for estimated structures.
+    pairs. Construction stores both as frozensets of Python-int tuples, with
+    each undirected pair normalized to (min, max), and raises ValueError for
+    a label outside 1..p, a self-loop, a pair in both directions of
+    ``directed``, or a pair in both sets (in either orientation). Full
+    equivalence-class semantics are not enforced; this is a container for
+    estimated structures.
     """
 
     p: int
@@ -58,24 +60,25 @@ class Pdag:
     undirected: frozenset[tuple[int, int]] = frozenset()
 
     def __post_init__(self) -> None:
-        if self.p < 1:
-            raise ValueError(f"vertex count must be positive, got {self.p}")
-        directed = frozenset((int(a), int(b)) for a, b in self.directed)
-        undirected = frozenset(
-            (min(int(a), int(b)), max(int(a), int(b))) for a, b in self.undirected
-        )
-        for a, b in directed | undirected:
-            if not (1 <= a <= self.p and 1 <= b <= self.p):
-                raise ValueError(f"edge ({a}, {b}) outside vertex range 1..{self.p}")
-            if a == b:
-                raise ValueError(f"self-loop on vertex {a}")
-        dir_pairs = {(min(a, b), max(a, b)) for a, b in directed}
-        if len(dir_pairs) != len(directed):
+        p = self.p
+        if p < 1:
+            raise ValueError(f"vertex count must be positive, got {p}")
+        d = _edge_array(self.directed, p)
+        u = np.sort(_edge_array(self.undirected, p), axis=1)
+        # Sorted by unordered pair, neighbours with the same pair must have
+        # the same directed code. Undirected pairs get code 0, and the stable
+        # sort keeps them after the directed ones.
+        pair = np.concatenate((_codes(d, p, unordered=True), _codes(u, p)))
+        code = np.concatenate((_codes(d, p), np.zeros(len(u), np.int64)))
+        order = np.argsort(pair, kind="stable")
+        pair, code = pair[order], code[order]
+        clash = (pair[1:] == pair[:-1]) & (code[1:] != code[:-1])
+        if np.any(clash & (code[1:] > 0)):
             raise ValueError("a pair appears in both directions of directed")
-        if dir_pairs & undirected:
+        if np.any(clash):
             raise ValueError("a pair appears in both directed and undirected sets")
-        object.__setattr__(self, "directed", directed)
-        object.__setattr__(self, "undirected", undirected)
+        object.__setattr__(self, "directed", frozenset(zip(*d.T.tolist())))
+        object.__setattr__(self, "undirected", frozenset(zip(*u.T.tolist())))
 
     @classmethod
     def from_dag(cls, g: Dag) -> "Pdag":
@@ -114,37 +117,36 @@ def compare_graphs(truth: Dag, estimate: Pdag) -> ConfusionCounts:
         raise ValueError(
             f"vertex counts differ: truth {truth.p}, estimate {estimate.p}"
         )
-    # Masks over the unordered pairs (a, b), a < b; undirected pairs are
-    # stored as (min, max), so their mask needs no transpose.
-    upper = np.triu_indices(truth.p, 1)
-    true_ab = _adjacency(truth.p, truth.edges)
-    est_ab = _adjacency(truth.p, estimate.directed)
-    t_ab, e_ab = true_ab[upper], est_ab[upper]
-    true_edge = t_ab | true_ab.T[upper]
-    est_dir = e_ab | est_ab.T[upper]
-    est_edge = est_dir | _adjacency(truth.p, estimate.undirected)[upper]
-    # Each edge has one direction, so a->b flags that match mean the true
-    # edge was estimated with its own orientation.
-    agree = int(np.sum(true_edge & est_dir & (t_ab == e_ab)))
+    # Each pair (a, b) becomes the code a * (p + 1) + b, unique per ordered
+    # pair; the codes of the (min, max) pairs count adjacencies. Codes are
+    # unique within each side: a Dag has no pair twice, and a Pdag no pair in
+    # both directions or in both sets.
+    p = truth.p
+    t, d = _edge_array(truth.edges, p), _edge_array(estimate.directed, p)
+    est_pairs = np.concatenate(
+        (_codes(d, p, unordered=True), _codes(_edge_array(estimate.undirected, p), p))
+    )
+    adj_tp = len(np.intersect1d(_codes(t, p, unordered=True), est_pairs, assume_unique=True))
+    # Each true edge has one direction, so an equal directed code means the
+    # true edge was estimated with its own orientation.
+    agree = len(np.intersect1d(_codes(t, p), _codes(d, p), assume_unique=True))
+    n_true, n_est = len(t), len(est_pairs)
     return ConfusionCounts(
         adjacency=PairCounts(
-            int(np.sum(true_edge & est_edge)),
-            int(np.sum(~true_edge & est_edge)),
-            int(np.sum(true_edge & ~est_edge)),
-            int(np.sum(~true_edge & ~est_edge)),
+            adj_tp, n_est - adj_tp, n_true - adj_tp,
+            p * (p - 1) // 2 - n_true - n_est + adj_tp,
         ),
-        orientation=PairCounts(
-            agree, int(np.sum(est_dir)) - agree, int(np.sum(true_edge)) - agree, agree
-        ),
+        orientation=PairCounts(agree, len(d) - agree, n_true - agree, agree),
     )
 
 
-def _adjacency(p: int, edges: frozenset[tuple[int, int]]) -> np.ndarray:
-    """p x p boolean matrix with [a-1, b-1] set for each pair (a, b)."""
-    ab = np.array(list(edges), dtype=np.intp).reshape(-1, 2) - 1
-    mask = np.zeros((p, p), dtype=bool)
-    mask[ab[:, 0], ab[:, 1]] = True
-    return mask
+def _codes(ends: np.ndarray, p: int, *, unordered: bool = False) -> np.ndarray:
+    """The code a * (p + 1) + b of each pair (a, b) of labels in 1..p; with
+    ``unordered``, the code of (min(a, b), max(a, b))."""
+    a, b = ends[:, 0], ends[:, 1]
+    if unordered:
+        a, b = np.minimum(a, b), np.maximum(a, b)
+    return a * (p + 1) + b
 
 
 def _ratio(num: int, den: int) -> float:

@@ -17,7 +17,7 @@ implied covariance reproduces the matrix exactly.
 from __future__ import annotations
 
 import numpy as np
-from scipy import linalg
+from scipy.linalg import lapack
 
 from .errors import CholeskyFailure, NumericalError
 from .graph import Dag, source_first_order
@@ -94,7 +94,10 @@ def dao_sample(
             raise CholeskyFailure(
                 f"parent block of vertex {v} lost positive definiteness"
             ) from exc
-        z = linalg.solve_triangular(L, w, lower=True, trans="T")
+        # L^T is upper triangular and, as a view of C-ordered L, Fortran-ordered.
+        z, info = lapack.dtrtrs(L.T, w, lower=0)
+        if info != 0:
+            raise CholeskyFailure(f"parent block of vertex {v} has a singular root")
         # Columns of vertices not yet placed are unfilled; keep only prev.
         prev = walk[:i]
         r = (z @ rows)[prev]

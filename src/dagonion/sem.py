@@ -15,7 +15,7 @@ import numpy as np
 from scipy import linalg
 
 from .errors import NonPositiveVarianceError, SingularMatrixError, SingularParentBlockError
-from .graph import Dag, source_first_order
+from .graph import Dag, _edge_array, source_first_order
 
 __all__ = [
     "SemParameters",
@@ -56,10 +56,7 @@ class SemParameters:
         # NaN-safe: a NaN entry fails every comparison.
         if not (np.all(np.isfinite(B)) and np.all((omega > 0) & (omega < np.inf))):
             raise ValueError("B and omega must be finite, omega strictly positive")
-        mask = np.zeros((p, p), dtype=bool)
-        for a, b in self.g.edges:
-            mask[b - 1, a - 1] = True
-        if np.any(B[~mask] != 0.0):
+        if np.any(B[_edge_matrix(self.g, 1.0) == 0.0]):
             raise ValueError("B has a nonzero entry outside the graph's edges")
         object.__setattr__(self, "B", B)
         object.__setattr__(self, "omega", omega)
@@ -69,22 +66,30 @@ def zarx_params(g: Dag, rng: np.random.Generator) -> SemParameters:
     """Coefficients uniform on [-2, -0.5] union [0.5, 2], unit error variances.
 
     Each interval carries probability 1/2, realized as a fair-coin sign times
-    a magnitude uniform on [0.5, 2]. Edges are visited in lexicographic order
-    so a given seed always yields the same parameters.
+    a magnitude uniform on [0.5, 2]. Edges take two uniform draws each in
+    lexicographic order, sign first, so a given seed always yields the same
+    parameters.
     """
-    B = np.zeros((g.p, g.p))
-    for a, b in g.sorted_edges():
-        sign = -1.0 if rng.random() < 0.5 else 1.0
-        B[b - 1, a - 1] = sign * rng.uniform(0.5, 2.0)
-    return SemParameters(g, B, np.ones(g.p))
+    u = rng.random(2 * g.num_edges)
+    coef = np.where(u[0::2] < 0.5, -1.0, 1.0) * (0.5 + 1.5 * u[1::2])
+    return SemParameters(g, _edge_matrix(g, coef), np.ones(g.p))
 
 
 def tetrad_params(g: Dag, rng: np.random.Generator) -> SemParameters:
-    """Coefficients uniform on [-1, 1], error variances uniform on [1, 2]."""
-    B = np.zeros((g.p, g.p))
-    for a, b in g.sorted_edges():
-        B[b - 1, a - 1] = rng.uniform(-1.0, 1.0)
+    """Coefficients uniform on [-1, 1] in lexicographic edge order, error
+    variances uniform on [1, 2]."""
+    B = _edge_matrix(g, rng.uniform(-1.0, 1.0, size=g.num_edges))
     return SemParameters(g, B, rng.uniform(1.0, 2.0, size=g.p))
+
+
+def _edge_matrix(g: Dag, coef: np.ndarray) -> np.ndarray:
+    """The p x p B with ``coef[k]`` (or a scalar ``coef``) at [b-1, a-1] for
+    the k-th edge (a, b) in lexicographic order, zero elsewhere."""
+    ends = _edge_array(g.edges, g.p) - 1
+    ends = ends[np.lexsort((ends[:, 1], ends[:, 0]))]
+    B = np.zeros((g.p, g.p))
+    B[ends[:, 1], ends[:, 0]] = coef
+    return B
 
 
 def implied_covariance(params: SemParameters) -> np.ndarray:

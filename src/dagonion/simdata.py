@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ZeroVarianceColumnError
+from .errors import NumericalError, ZeroVarianceColumnError
 from .graph import source_first_order
 from .sem import SemParameters
 
@@ -60,7 +60,8 @@ def simulate(
     children; the returned matrix keeps the original label order.
     ``error_kind`` selects the error family: "gaussian" gives normal(0,
     omega_i) errors, "exponential" gives mean-zero shifted exponential
-    errors with variance omega_i.
+    errors with variance omega_i. Raises NumericalError when the data
+    overflow to non-finite values.
     """
     if error_kind not in ERROR_KINDS:
         raise ValueError(
@@ -80,9 +81,12 @@ def simulate(
         # Exponential with scale sqrt(omega), shifted to mean zero: variance
         # stays omega and the skewness of 2 is unaffected by the shift.
         W -= sd
-    for j, v in enumerate(order.tolist()):
-        pa = np.asarray(parent_map[v + 1], dtype=np.intp) - 1
-        W[j] = params.B[v, pa] @ W[pos[pa]] + W[j]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, v in enumerate(order.tolist()):
+            pa = np.asarray(parent_map[v + 1], dtype=np.intp) - 1
+            W[j] = params.B[v, pa] @ W[pos[pa]] + W[j]
+    if not np.isfinite(W).all():
+        raise NumericalError("simulated data overflowed to non-finite values")
     # One gather into a C-ordered n x p array: column means, and with them
     # the bench tables, depend on the memory layout in the last bit.
     X = W.T.take(pos, axis=1)

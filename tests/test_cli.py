@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,10 @@ from dagonion import cli
 from dagonion.cli import main
 from dagonion.fileio import read_dataset, read_json
 from util import corrcoef_sample_r2, lstsq_sample_r2
+
+# The bench table recorded for the seed-11 grid of
+# TestBench.test_seed_meaning_matches_golden_table.
+GOLDEN_BENCH = Path(__file__).parent / "data" / "bench_seed11.csv"
 
 
 def run(*argv):
@@ -170,6 +175,19 @@ class TestSimulate:
         assert "error[io]" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_overflowing_data_is_numerical_error(self, tmp_path, capsys):
+        # Finite but huge coefficients load fine; the data then overflow.
+        model = self._model(tmp_path)
+        raw = read_json(model)
+        raw["B"] = (np.array(raw["B"]) * 1e200).tolist()
+        model.write_text(json.dumps(raw))
+        out = tmp_path / "x.csv"
+        assert run("simulate", "--model", model, "--n", 5,
+                   "--seed", 1, "--out", out) == 3
+        err = capsys.readouterr().err
+        assert "error[numerical]" in err and "Warning" not in err
+        assert not out.exists() and not (tmp_path / "x.meta.json").exists()
+
     def test_standardize_data_flag(self, tmp_path):
         model = self._model(tmp_path)
         out = tmp_path / "s.csv"
@@ -288,6 +306,30 @@ class TestBench:
         header = lines[0].split(",")
         assert "r2_pop_mean" in header and "varsr_adj_recall_mean" in header
 
+    def test_seed_meaning_matches_golden_table(self, tmp_path):
+        # What seed 11 means: the table this grid gave when it was recorded.
+        # Integer and string columns must match exactly and float columns
+        # within 1e-9, the rule the grid-paper benchmark applies.
+        out = tmp_path / "r.csv"
+        assert run("bench", "--reps", 2, "--p-list", "6,12", "--avg-degree", 3,
+                   "--shapes", "er,sfi,sfo,sf-both",
+                   "--methods", "dao,zarx,tetrad,zarx-std,tetrad-std",
+                   "--sample-sizes", 100, "--error", "exponential",
+                   "--seed", 11, "--out", out) == 0
+        got = [line.split(",") for line in out.read_text().splitlines()]
+        want = [line.split(",") for line in GOLDEN_BENCH.read_text().splitlines()]
+        assert got[0] == want[0] and len(got) == len(want) == 41
+        exact = {"p", "shape", "method", "n", "reps", "failures", "master_seed"}
+        for row, ref in zip(got[1:], want[1:]):
+            for name, a, b in zip(want[0], row, ref):
+                if name == "version":
+                    assert a == __version__
+                elif name in exact:
+                    assert a == b, name
+                else:
+                    assert np.isnan(float(a)) == np.isnan(float(b)), name
+                    assert not abs(float(a) - float(b)) > 1e-9, name
+
     def test_failures_counted_not_fatal(self, tmp_path):
         # Standardizing a complete zarx graph at p = 30 hits a numerically
         # singular parent block in every replication.
@@ -389,6 +431,42 @@ class TestManifestReplay:
         manifest.write_text(json.dumps(rec))
         assert run("replay", "--manifest", manifest) == 4
 
+
+    def test_replay_from_another_directory(self, tmp_path, monkeypatch, capsys):
+        # Relative paths, recorded in a/ and replayed from its parent.
+        work = tmp_path / "a"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        assert run("gen-dag", "--p", 6, "--avg-degree", 2, "--seed", 4,
+                   "--out", "g.json", "--manifest", "m.json") == 0
+        assert run("gen-model", "--graph", "g.json", "--method", "zarx", "--seed", 5,
+                   "--out", "model.json", "--manifest", "mm.json") == 0
+        assert run("simulate", "--model", "model.json", "--n", 20, "--seed", 6,
+                   "--out", "d.csv", "--manifest", "ms.json") == 0
+        monkeypatch.chdir(tmp_path)
+        for manifest in ("m.json", "mm.json", "ms.json"):
+            assert run("replay", "--manifest", work / manifest) == 0
+            assert "replay ok" in capsys.readouterr().out
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a"]
+        rec = read_json(work / "ms.json")
+        rec["outputs"]["d.csv"] = "0" * 64
+        (work / "ms.json").write_text(json.dumps(rec))
+        assert run("replay", "--manifest", work / "ms.json") == 4
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a"]
+        assert read_json(work / "m.json")["cwd"] == str(work)
+
+    def test_manifest_without_cwd_replays_here(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run("gen-dag", "--p", 6, "--avg-degree", 2, "--seed", 4,
+                   "--out", "g.json", "--manifest", "m.json") == 0
+        rec = read_json(tmp_path / "m.json")
+        del rec["cwd"]
+        (tmp_path / "m.json").write_text(json.dumps(rec))
+        assert run("replay", "--manifest", "m.json") == 0
+        assert "replay ok" in capsys.readouterr().out
+        rec["cwd"] = 3
+        (tmp_path / "m.json").write_text(json.dumps(rec))
+        assert run("replay", "--manifest", "m.json") == 4
 
     @pytest.mark.parametrize("flag", ["--manif", "--manifes"])
     def test_abbreviated_option_is_usage_error(self, tmp_path, flag):

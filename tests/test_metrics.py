@@ -34,9 +34,11 @@ from util import (
     enumerate_dags,
     enumerate_pdags,
     lstsq_sample_r2,
+    mask_compare_graphs,
     mixed_data,
     model_data,
     near_collinear_data,
+    three_pass_pdag_sets,
 )
 
 
@@ -63,6 +65,55 @@ class TestPdagType:
         g = Dag(3, frozenset({(1, 2)}))
         est = Pdag.from_dag(g)
         assert est.directed == frozenset({(1, 2)}) and not est.undirected
+
+    def test_numpy_labels_become_python_ints(self):
+        est = Pdag(4, frozenset({(np.int64(1), np.int32(2))}),
+                   frozenset({(np.intp(4), np.int64(3))}))
+        assert est.directed == frozenset({(1, 2)}) and est.undirected == frozenset({(3, 4)})
+        assert all(type(x) is int for e in est.directed | est.undirected for x in e)
+
+    @pytest.mark.parametrize("directed, undirected", [
+        ({(1, 2, 3)}, set()),
+        (set(), {(1,)}),
+        ({(1, 2**70)}, set()),
+    ])
+    def test_malformed_pairs_rejected(self, directed, undirected):
+        with pytest.raises(ValueError):
+            Pdag(3, frozenset(directed), frozenset(undirected))
+
+    @settings(max_examples=300)
+    @given(data=st.data(), p=st.integers(1, 30), seed=st.integers(0, 2**32 - 1))
+    def test_property_matches_three_pass_oracle(self, data, p, seed):
+        # A valid partially directed graph from per-pair states, plus a few
+        # raw pairs that may break any of the checks.
+        rng = np.random.default_rng(seed)
+        states = rng.choice(4, size=p * (p - 1) // 2, p=[0.7, 0.1, 0.1, 0.1])
+        pairs = all_pairs(p)
+        directed = [ab if s == 1 else ab[::-1] for ab, s in zip(pairs, states) if s in (1, 2)]
+        undirected = [ab[::-1] if rng.random() < 0.5 else ab
+                      for ab, s in zip(pairs, states) if s == 3]
+        label = st.integers(-1, p + 2) if data.draw(st.booleans()) else st.integers(1, p)
+        raw = st.lists(st.tuples(label, label), max_size=3)
+        directed += data.draw(raw)
+        undirected += data.draw(raw)
+        if data.draw(st.booleans()):
+            directed = [(np.int64(a), np.int64(b)) for a, b in directed]
+        if data.draw(st.booleans()):
+            directed, undirected = frozenset(directed), frozenset(undirected)
+        try:
+            want = three_pass_pdag_sets(p, directed, undirected)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                Pdag(p, directed, undirected)
+            # Which bad label or self-loop is named depends on set order; the
+            # pair checks run only when every label is fine.
+            pair_error = str(exc).startswith("a pair")
+            assert (str(got.value) == str(exc)) if pair_error else (
+                not str(got.value).startswith("a pair"))
+            return
+        est = Pdag(p, directed, undirected)
+        assert (est.directed, est.undirected) == want
+        assert all(type(x) is int for e in est.directed | est.undirected for x in e)
 
 
 class TestCompareGraphs:
@@ -128,7 +179,8 @@ class TestCompareGraphs:
             frozenset(ab for ab, s in zip(pairs, states) if s == 3),
         )
         c = compare_graphs(truth, est)
-        assert (asdict(c.adjacency), asdict(c.orientation)) == brute_pair_counts(truth, est)
+        got = (asdict(c.adjacency), asdict(c.orientation))
+        assert got == brute_pair_counts(truth, est) == mask_compare_graphs(truth, est)
 
     def test_exhaustive_agreement_small(self):
         truths = enumerate_dags(3)
@@ -137,6 +189,7 @@ class TestCompareGraphs:
             for est in ests:
                 c = compare_graphs(truth, est)
                 adj, ori = brute_pair_counts(truth, est)
+                assert (adj, ori) == mask_compare_graphs(truth, est)
                 assert (c.adjacency.tp, c.adjacency.fp, c.adjacency.fn, c.adjacency.tn) == (
                     adj["tp"], adj["fp"], adj["fn"], adj["tn"],
                 )

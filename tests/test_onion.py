@@ -17,7 +17,7 @@ from dagonion import (
     shuffle_labels,
     source_first_order,
 )
-from util import full_block_dao_sample, parents, partial_corr
+from util import full_block_dao_sample, parents, partial_corr, solve_triangular_dao_sample
 
 
 class TestSampleMpii:
@@ -169,6 +169,24 @@ class TestFullBlockOracle:
             assert np.max(np.abs(R - R_o)) <= 1e-11
             assert np.max(np.abs(params.B - params_o.B)) <= 1e-11
             assert np.max(np.abs(params.omega - params_o.omega)) <= 1e-11
+
+
+class TestSolveTriangularOracle:
+    """Calling dtrtrs directly gives the same doubles as solve_triangular."""
+
+    @pytest.mark.parametrize("kind", ["er", "sfi", "sfo", "shuffled", "dense", "complete"])
+    def test_equal_bit_for_bit(self, kind):
+        rng = np.random.default_rng(13)
+        for p in (1, 2, 20, 45, 100):
+            g = _graph(kind, p, rng)
+            seed = int(rng.integers(2**32))
+            fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+            R, params = dao_sample(g, fast)
+            R_o, params_o = solve_triangular_dao_sample(g, slow)
+            assert fast.bit_generator.state == slow.bit_generator.state
+            assert np.array_equal(R, R_o)
+            assert np.array_equal(params.B, params_o.B)
+            assert np.array_equal(params.omega, params_o.omega)
 
 
 class TestDaoProperties:

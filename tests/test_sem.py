@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dagonion import (
     Dag,
@@ -21,7 +23,7 @@ from dagonion import (
     zarx_params,
 )
 from dagonion.cli import _apply_shape, _rng
-from util import refit_standardize
+from util import edge_loop_tetrad_params, edge_loop_zarx_params, refit_standardize
 
 CHAIN2 = Dag(2, frozenset({(1, 2)}))
 
@@ -95,6 +97,44 @@ class TestTetradParams:
         for _ in range(1000):
             omegas.extend(tetrad_params(Dag(10, frozenset()), rng).omega)
         assert abs(np.mean(omegas) - 1.5) < 0.01
+
+
+class TestEdgeLoopOracle:
+    """The batched coefficient draws equal one draw per edge in lexicographic
+    order and leave the generator in the same state."""
+
+    @staticmethod
+    def _check(g, seed):
+        for fast_fn, slow_fn in ((zarx_params, edge_loop_zarx_params),
+                                 (tetrad_params, edge_loop_tetrad_params)):
+            fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+            got, want = fast_fn(g, fast), slow_fn(g, slow)
+            assert np.array_equal(got.B, want.B)
+            assert np.array_equal(got.omega, want.omega)
+            assert fast.bit_generator.state == slow.bit_generator.state
+
+    @pytest.mark.parametrize("p", [1, 2, 5, 30, 100])
+    def test_empty_and_complete_graphs(self, p):
+        self._check(Dag(p, frozenset()), p)
+        complete = er_dag(p, p - 1, np.random.default_rng(p))
+        self._check(shuffle_labels(complete, np.random.default_rng(p))[0], p + 1)
+        self._check(complete, p + 2)
+
+    @settings(max_examples=60)
+    @given(
+        p=st.integers(1, 40),
+        frac=st.floats(0.0, 1.0),
+        shape=st.sampled_from(["er", "sfi", "sfo", "sf-both", "shuffled"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_property_matches_oracle(self, p, frac, shape, seed):
+        rng = np.random.default_rng(seed)
+        g = er_dag(p, frac * (p - 1), rng)
+        if shape == "shuffled":
+            g, _ = shuffle_labels(g, rng)
+        else:
+            g, _ = _apply_shape(g, shape, rng)
+        self._check(g, seed)
 
 
 class TestImpliedCovariance:

@@ -7,6 +7,7 @@ from scipy import stats
 from dagonion import (
     Dag,
     Dataset,
+    NumericalError,
     SemParameters,
     ZeroVarianceColumnError,
     dao_sample,
@@ -153,6 +154,25 @@ class TestColumnLoopOracle:
         rng = np.random.default_rng(seed)
         g, _ = shuffle_labels(er_dag(p, frac * (p - 1), rng), rng)
         _assert_matches_oracle(_params(method, g, rng), kind, n, seed + 1)
+
+
+class TestOverflow:
+    @pytest.mark.parametrize("kind", ["gaussian", "exponential"])
+    @pytest.mark.parametrize("coefs", [
+        # A 3-chain: the data overflow to inf.
+        {(1, 2): 1e200, (2, 3): 1e200},
+        # Opposite infinities meet in vertex 3 and give NaN.
+        {(1, 2): 1e200, (1, 3): 1e300, (2, 3): -1e200},
+    ])
+    def test_non_finite_data_is_numerical_error(self, kind, coefs):
+        B = np.zeros((3, 3))
+        for (a, b), c in coefs.items():
+            B[b - 1, a - 1] = c
+        params = SemParameters(Dag(3, frozenset(coefs)), B, np.ones(3))
+        # The suite turns warnings into errors, so this also checks that none
+        # is emitted.
+        with pytest.raises(NumericalError, match="non-finite"):
+            simulate(params, kind, 5, np.random.default_rng(1))
 
 
 class TestDataset:

@@ -403,3 +403,117 @@ def column_loop_simulate(
         else:
             X[:, i0] = z
     return X
+
+
+def three_pass_pdag_sets(p: int, directed, undirected):
+    """The three Python passes that validated a Pdag's edges: the oracle for
+    ``Pdag.__post_init__``, which checks arrays of the edges instead.
+    Returns the normalized ``(directed, undirected)`` frozensets or raises
+    ValueError."""
+    if p < 1:
+        raise ValueError(f"vertex count must be positive, got {p}")
+    directed = frozenset((int(a), int(b)) for a, b in directed)
+    undirected = frozenset(
+        (min(int(a), int(b)), max(int(a), int(b))) for a, b in undirected
+    )
+    for a, b in directed | undirected:
+        if not (1 <= a <= p and 1 <= b <= p):
+            raise ValueError(f"edge ({a}, {b}) outside vertex range 1..{p}")
+        if a == b:
+            raise ValueError(f"self-loop on vertex {a}")
+    dir_pairs = {(min(a, b), max(a, b)) for a, b in directed}
+    if len(dir_pairs) != len(directed):
+        raise ValueError("a pair appears in both directions of directed")
+    if dir_pairs & undirected:
+        raise ValueError("a pair appears in both directed and undirected sets")
+    return directed, undirected
+
+
+def _adjacency(p: int, edges) -> np.ndarray:
+    """p x p boolean matrix with [a-1, b-1] set for each pair (a, b)."""
+    ab = np.array(list(edges), dtype=np.intp).reshape(-1, 2) - 1
+    mask = np.zeros((p, p), dtype=bool)
+    mask[ab[:, 0], ab[:, 1]] = True
+    return mask
+
+
+def mask_compare_graphs(truth: Dag, estimate: Pdag):
+    """Confusion counts from three p x p masks gathered over the unordered
+    pairs: the oracle for ``compare_graphs``, which intersects sorted pair
+    codes instead. Returns ``(adjacency, orientation)`` dicts like
+    ``brute_pair_counts``."""
+    upper = np.triu_indices(truth.p, 1)
+    true_ab = _adjacency(truth.p, truth.edges)
+    est_ab = _adjacency(truth.p, estimate.directed)
+    t_ab, e_ab = true_ab[upper], est_ab[upper]
+    true_edge = t_ab | true_ab.T[upper]
+    est_dir = e_ab | est_ab.T[upper]
+    est_edge = est_dir | _adjacency(truth.p, estimate.undirected)[upper]
+    agree = int(np.sum(true_edge & est_dir & (t_ab == e_ab)))
+    adj = {
+        "tp": int(np.sum(true_edge & est_edge)),
+        "fp": int(np.sum(~true_edge & est_edge)),
+        "fn": int(np.sum(true_edge & ~est_edge)),
+        "tn": int(np.sum(~true_edge & ~est_edge)),
+    }
+    ori = {
+        "tp": agree,
+        "fp": int(np.sum(est_dir)) - agree,
+        "fn": int(np.sum(true_edge)) - agree,
+        "tn": agree,
+    }
+    return adj, ori
+
+
+def edge_loop_zarx_params(g: Dag, rng: np.random.Generator) -> SemParameters:
+    """One sign draw and one magnitude draw per edge in lexicographic order:
+    the oracle for ``zarx_params``, which draws them all at once."""
+    B = np.zeros((g.p, g.p))
+    for a, b in g.sorted_edges():
+        sign = -1.0 if rng.random() < 0.5 else 1.0
+        B[b - 1, a - 1] = sign * rng.uniform(0.5, 2.0)
+    return SemParameters(g, B, np.ones(g.p))
+
+
+def edge_loop_tetrad_params(g: Dag, rng: np.random.Generator) -> SemParameters:
+    """One coefficient draw per edge in lexicographic order: the oracle for
+    ``tetrad_params``."""
+    B = np.zeros((g.p, g.p))
+    for a, b in g.sorted_edges():
+        B[b - 1, a - 1] = rng.uniform(-1.0, 1.0)
+    return SemParameters(g, B, rng.uniform(1.0, 2.0, size=g.p))
+
+
+def solve_triangular_dao_sample(g: Dag, rng: np.random.Generator):
+    """``dao_sample`` with z = L^-T w from ``scipy.linalg.solve_triangular``:
+    the exact-equality oracle for the sampler, which calls the LAPACK
+    routine dtrtrs directly."""
+    p = g.p
+    order = source_first_order(g)
+    walk = np.asarray(order, dtype=np.intp) - 1
+    position = {v: i for i, v in enumerate(order)}
+    parent_map = g.parent_map()
+
+    R = np.eye(p)
+    B = np.zeros((p, p))
+    omega = np.ones(p)
+    for i, v in enumerate(order):
+        if not parent_map[v]:
+            continue
+        pa = np.asarray(sorted(parent_map[v], key=position.__getitem__)) - 1
+        w = sample_mpii(len(pa), (p - i) / 2.0, rng)
+        rows = R[pa]
+        try:
+            L = np.linalg.cholesky(rows[:, pa])
+        except np.linalg.LinAlgError as exc:
+            raise CholeskyFailure(
+                f"parent block of vertex {v} lost positive definiteness"
+            ) from exc
+        z = linalg.solve_triangular(L, w, lower=True, trans="T")
+        prev = walk[:i]
+        r = (z @ rows)[prev]
+        R[v - 1, prev] = r
+        R[prev, v - 1] = r
+        B[v - 1, pa] = z
+        omega[v - 1] = 1.0 - float(w @ w)
+    return R, SemParameters(g, B, omega)
