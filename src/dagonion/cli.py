@@ -15,7 +15,7 @@ Relative --out paths are resolved against $DAGONION_OUT_DIR when that is
 set. A --manifest records the working directory, and replay re-runs the
 command and checks its outputs there. Exit codes: 0 success, 2 usage, 3
 numerical failure (including data that overflow in simulate), 4 I/O or
-file format problems.
+file format problems, among them a malformed manifest given to replay.
 """
 
 from __future__ import annotations
@@ -337,10 +337,14 @@ def cmd_bench(args) -> list[Path]:
 
 def cmd_replay(args) -> list[Path]:
     manifest = read_json(args.manifest)
-    if not isinstance(manifest, dict) or "argv" not in manifest:
-        raise SchemaError(f'{args.manifest}: missing "argv"')
-    argv = [str(tok) for tok in manifest["argv"]]
-    recorded = manifest.get("outputs", {})
+    argv = manifest.get("argv") if isinstance(manifest, dict) else None
+    # A replay of replay would recurse.
+    if not (isinstance(argv, list) and argv and all(isinstance(t, str) for t in argv)
+            and argv[0] != "replay"):
+        raise SchemaError(f'{args.manifest}: missing or bad "argv": {argv!r}')
+    recorded = manifest.get("outputs", {})  # JSON object keys are always strings
+    if not (isinstance(recorded, dict) and all(isinstance(v, str) for v in recorded.values())):
+        raise SchemaError(f'{args.manifest}: bad "outputs": {recorded!r}')
     # Relative paths in argv and outputs mean what they meant where the
     # command ran; a manifest without "cwd" replays in the current directory.
     here = os.getcwd()

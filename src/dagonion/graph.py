@@ -33,20 +33,26 @@ class Dag:
 
     ``edges`` holds ``(parent, child)`` pairs. Construction validates label
     range, self-loops, and acyclicity; a cyclic edge set raises
-    :class:`~dagonion.errors.CyclicGraphError`.
+    :class:`~dagonion.errors.CyclicGraphError`. It keeps, outside eq, hash and
+    repr, the read-only edge array ``_ends`` in lexicographic order and the
+    source-first ``_order``.
     """
 
     p: int
     edges: frozenset[tuple[int, int]] = field(default_factory=frozenset)
+    _ends: np.ndarray = field(init=False, repr=False, compare=False)
+    _order: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.p < 1:
             raise ValueError(f"vertex count must be positive, got {self.p}")
         if not isinstance(self.edges, frozenset):
             object.__setattr__(self, "edges", frozenset(self.edges))
-        _edge_array(self.edges, self.p)  # raises on a bad label or a self-loop
-        # Acyclicity check; raises CyclicGraphError on failure.
-        source_first_order(self)
+        ends = _edge_array(self.edges, self.p)  # raises on a bad label or a self-loop
+        ends = ends[np.lexsort((ends[:, 1], ends[:, 0]))]
+        ends.flags.writeable = False
+        object.__setattr__(self, "_ends", ends)
+        object.__setattr__(self, "_order", _walk_source_first(self.p, ends))
 
     @property
     def num_edges(self) -> int:
@@ -55,10 +61,8 @@ class Dag:
     def parent_map(self) -> dict[int, list[int]]:
         """Sorted parent lists for every vertex (one pass over the edges)."""
         pa: dict[int, list[int]] = {v: [] for v in range(1, self.p + 1)}
-        for a, b in self.edges:
+        for a, b in self._ends.tolist():  # lexicographic, so each list is sorted
             pa[b].append(a)
-        for v in pa:
-            pa[v].sort()
         return pa
 
     def sorted_edges(self) -> list[tuple[int, int]]:
@@ -128,7 +132,7 @@ def _rewire(g: Dag, rng: np.random.Generator, *, forward: bool) -> Dag:
     vertex's candidates, so the weights are copied once per vertex.
     """
     p = g.p
-    ends = _edge_array(g.edges, p)
+    ends = g._ends
     bad = ends[ends[:, 0] >= ends[:, 1]]
     if len(bad):
         raise ValueError(
@@ -180,7 +184,7 @@ def shuffle_labels(
     where ``perm[v-1]`` is the new label of old vertex ``v``.
     """
     perm = rng.permutation(g.p) + 1
-    ends = perm[_edge_array(g.edges, g.p) - 1]
+    ends = perm[g._ends - 1]
     edges = frozenset(zip(ends[:, 0].tolist(), ends[:, 1].tolist()))
     return Dag(g.p, edges), tuple(perm.tolist())
 
@@ -190,13 +194,15 @@ def source_first_order(g: Dag) -> tuple[int, ...]:
 
     All parentless vertices come first (ascending label), then the remaining
     vertices in topological order with ties broken by ascending label. Every
-    parent precedes its children. Raises CyclicGraphError if the edge set
-    has a directed cycle (unreachable for a validated Dag, kept as a guard).
+    parent precedes its children. ``g`` keeps the order walked when it was built.
     """
-    p = g.p
+    return g._order
+
+
+def _walk_source_first(p: int, ends: np.ndarray) -> tuple[int, ...]:
     indeg = [0] * (p + 1)
     children: list[list[int]] = [[] for _ in range(p + 1)]
-    for a, b in g.edges:
+    for a, b in ends.tolist():
         indeg[b] += 1
         children[a].append(b)
     sources = [v for v in range(1, p + 1) if indeg[v] == 0]

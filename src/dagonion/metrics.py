@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 from scipy.linalg import lapack
 
 from .errors import RankDeficientDataError, SingularMatrixError
@@ -122,7 +121,7 @@ def compare_graphs(truth: Dag, estimate: Pdag) -> ConfusionCounts:
     # unique within each side: a Dag has no pair twice, and a Pdag no pair in
     # both directions or in both sets.
     p = truth.p
-    t, d = _edge_array(truth.edges, p), _edge_array(estimate.directed, p)
+    t, d = truth._ends, _edge_array(estimate.directed, p)
     est_pairs = np.concatenate(
         (_codes(d, p, unordered=True), _codes(_edge_array(estimate.undirected, p), p))
     )
@@ -233,9 +232,10 @@ def sortability_rank_corr(
     """Spearman rank correlation between scores and causal position.
 
     ``causal_index`` must be a permutation of 1..p giving each variable's
-    position in the causal order. Ties in the scores receive average ranks.
-    Scores that are strictly increasing along the causal order give +1; a
-    constant score vector (including p = 1) returns 0.0 by convention.
+    position in the causal order. Ties in the scores receive average ranks,
+    with -0.0 tied to 0.0 and equal infinities tied. Scores that are strictly
+    increasing along the causal order give +1; a constant score vector
+    (including p = 1) and any NaN score return 0.0 by convention.
 
     With ``largest_first=True`` the variables are ranked with the largest
     score first before correlating, which negates the plain statistic; this
@@ -253,13 +253,28 @@ def sortability_rank_corr(
         raise ValueError("causal_index must be a permutation of 1..p")
     if p < 2 or np.all(scores == scores[0]):
         return 0.0
-    ranks = stats.rankdata(scores)
+    ranks = _average_ranks(scores)
     if largest_first:
         ranks = (p + 1) - ranks
-    # Pearson correlation of the two rank vectors: what spearmanr computes,
-    # without ranking the ranks again or the unused p-value.
+    # Pearson correlation of the two rank vectors, as scipy's spearmanr
+    # computes it; NaN ranks give a NaN rho and so 0.0.
     rho = np.corrcoef(np.column_stack((ranks, causal_index)), rowvar=False)[1, 0]
     return float(rho) if np.isfinite(rho) else 0.0
+
+
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of ``x``, a run of equal values at sorted positions
+    start..end-1 sharing 0.5 * (start + end + 1); all NaN if some x is NaN.
+    Exact halves, so equal to scipy's ``rankdata(x)``."""
+    if np.isnan(x).any():
+        return np.full(len(x), np.nan)
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    start = np.flatnonzero(np.concatenate(([True], xs[1:] != xs[:-1])))
+    end = np.append(start[1:], len(x))
+    ranks = np.empty(len(x))
+    ranks[order] = np.repeat(0.5 * (start + end + 1), end - start)
+    return ranks
 
 
 def varsortability_scores(d: Dataset) -> np.ndarray:

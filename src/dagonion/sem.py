@@ -15,7 +15,7 @@ import numpy as np
 from scipy import linalg
 
 from .errors import NonPositiveVarianceError, SingularMatrixError, SingularParentBlockError
-from .graph import Dag, _edge_array, source_first_order
+from .graph import Dag, source_first_order
 
 __all__ = [
     "SemParameters",
@@ -85,10 +85,8 @@ def tetrad_params(g: Dag, rng: np.random.Generator) -> SemParameters:
 def _edge_matrix(g: Dag, coef: np.ndarray) -> np.ndarray:
     """The p x p B with ``coef[k]`` (or a scalar ``coef``) at [b-1, a-1] for
     the k-th edge (a, b) in lexicographic order, zero elsewhere."""
-    ends = _edge_array(g.edges, g.p) - 1
-    ends = ends[np.lexsort((ends[:, 1], ends[:, 0]))]
     B = np.zeros((g.p, g.p))
-    B[ends[:, 1], ends[:, 0]] = coef
+    B[g._ends[:, 1] - 1, g._ends[:, 0] - 1] = coef
     return B
 
 

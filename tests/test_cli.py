@@ -1,11 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dagonion import RankDeficientDataError, __version__, sample_r2
-from dagonion import cli
+from dagonion import Dag, RankDeficientDataError, __version__, sample_r2
+from dagonion import cli, graph
 from dagonion.cli import main
 from dagonion.fileio import read_dataset, read_json
 from util import corrcoef_sample_r2, lstsq_sample_r2
@@ -306,6 +309,29 @@ class TestBench:
         header = lines[0].split(",")
         assert "r2_pop_mean" in header and "varsr_adj_recall_mean" in header
 
+    def test_one_order_walk_per_dag(self, tmp_path, monkeypatch):
+        # Each Dag walks its source-first order once, when it is built; the
+        # pipeline reads the kept order instead of walking again.
+        counts = dict(walks=0, dags=0)
+        walk, post_init = graph._walk_source_first, Dag.__post_init__
+
+        def counted_walk(*args):
+            counts["walks"] += 1
+            return walk(*args)
+
+        def counted_post_init(g):
+            counts["dags"] += 1
+            post_init(g)
+
+        monkeypatch.setattr(graph, "_walk_source_first", counted_walk)
+        monkeypatch.setattr(Dag, "__post_init__", counted_post_init)
+        assert run("bench", "--reps", 3, "--p-list", 12, "--avg-degree", 3,
+                   "--shapes", "er,sfi,sf-both", "--methods", "dao,zarx,tetrad-std",
+                   "--sample-sizes", 100, "--seed", 1, "--out", tmp_path / "r.csv") == 0
+        # Per replication er builds one Dag, sfi two and sf-both three.
+        dags = 3 * 3 * (1 + 2 + 3)
+        assert counts == dict(walks=dags, dags=dags)
+
     def test_seed_meaning_matches_golden_table(self, tmp_path):
         # What seed 11 means: the table this grid gave when it was recorded.
         # Integer and string columns must match exactly and float columns
@@ -468,6 +494,30 @@ class TestManifestReplay:
         (tmp_path / "m.json").write_text(json.dumps(rec))
         assert run("replay", "--manifest", "m.json") == 4
 
+    @pytest.mark.parametrize("field,value", [
+        ("argv", ["replay", "--manifest", "m.json"]),  # used to recurse
+        ("argv", "gen-dag"),  # used to replay one character at a time
+        ("argv", []),
+        ("argv", None),
+        ("argv", ["gen-dag", "--p", 6]),
+        ("outputs", [1]),  # used to raise AttributeError
+        ("outputs", {"g.json": 1}),
+    ])
+    def test_malformed_manifest_is_schema_error(self, tmp_path, monkeypatch, capsys,
+                                                field, value):
+        monkeypatch.chdir(tmp_path)
+        assert run("gen-dag", "--p", 6, "--avg-degree", 2, "--seed", 4,
+                   "--out", "g.json", "--manifest", "m.json") == 0
+        rec = read_json(tmp_path / "m.json")
+        rec[field] = value
+        (tmp_path / "m.json").write_text(json.dumps(rec))
+        capsys.readouterr()
+        assert run("replay", "--manifest", "m.json") == 4
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error[io]: m.json: ")
+        assert f'bad "{field}": ' in err
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("flag", ["--manif", "--manifes"])
     def test_abbreviated_option_is_usage_error(self, tmp_path, flag):
         graph = tmp_path / "g.json"
@@ -517,3 +567,20 @@ class TestEnvAndMisc:
 
     def test_unknown_command_usage(self):
         assert run("frobnicate") == 2
+
+
+class TestImportFootprint:
+    def test_imports_no_scipy_subpackage_but_linalg(self):
+        # The suite imports scipy.stats itself, so a fresh interpreter
+        # imports the package. scipy._lib is scipy's private support package.
+        code = (
+            "import dagonion, dagonion.cli, sys; print(*sorted("
+            "m for m in sys.modules if m.startswith('scipy.') and m.count('.') == 1"
+            " and hasattr(sys.modules[m], '__path__')))"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(src)}, check=True,
+        )
+        assert proc.stdout.split() == ["scipy._lib", "scipy.linalg"]

@@ -51,6 +51,27 @@ class TestDagType:
         assert g.parent_map()[3] == [1, 2]
 
 
+class TestDagKeptArrays:
+    def test_edge_array_and_order_are_kept(self):
+        g = Dag(5, [(3, 1), (1, 2), (2, 5), (1, 4)])
+        assert g._ends.tolist() == [[1, 2], [1, 4], [2, 5], [3, 1]]
+        assert g._ends.dtype == np.int64 and not g._ends.flags.writeable
+        with pytest.raises(ValueError):
+            g._ends[0, 0] = 4
+        assert g._order == (3, 1, 2, 4, 5) and source_first_order(g) is g._order
+
+    def test_outside_equality_hash_and_repr(self):
+        g = Dag(4, frozenset({(1, 2), (3, 4)}))
+        h = Dag(4, [(3, 4), (1, 2)])
+        assert g == h and hash(g) == hash(h) and {g: 1}[h] == 1
+        assert repr(g) == f"Dag(p=4, edges={g.edges!r})"
+        assert g != Dag(4, frozenset({(1, 2)}))
+
+    def test_empty_graph(self):
+        g = Dag(3)
+        assert g._ends.shape == (0, 2) and g._order == (1, 2, 3)
+
+
 class TestErDag:
     def test_exact_edge_count(self):
         rng = np.random.default_rng(0)

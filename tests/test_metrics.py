@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import asdict
 
 import numpy as np
@@ -25,6 +26,7 @@ from dagonion import (
     sortability_rank_corr,
     varsortability_scores,
 )
+from dagonion.metrics import _average_ranks
 from util import (
     DEGENERATE,
     all_pairs,
@@ -38,8 +40,34 @@ from util import (
     mixed_data,
     model_data,
     near_collinear_data,
+    scipy_sortability_rank_corr,
     three_pass_pdag_sets,
 )
+
+# Values whose ranking is easy to get wrong: signed zeros, infinities and
+# magnitudes near the ends of the float64 range.
+_SPECIAL_SCORES = np.array(
+    [0.0, -0.0, np.inf, -np.inf, 1e300, -1e300, 1e-300, -1e-300, 5e-324, 1.0]
+)
+
+
+@st.composite
+def rank_scores(draw):
+    """Score vectors of length 1..120: continuous, heavily tied, special
+    values mixed with magnitudes near 1e+-300, or any of these with a NaN."""
+    p = draw(st.integers(1, 120))
+    kind = draw(st.sampled_from(["continuous", "tied", "special"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "continuous":
+        x = rng.standard_normal(p)
+    elif kind == "tied":
+        x = rng.integers(0, draw(st.integers(1, 4)), p).astype(float)
+    else:
+        near_limits = rng.standard_normal(p) * 10.0 ** rng.choice([-300, 300], p)
+        x = np.where(rng.random(p) < 0.5, rng.choice(_SPECIAL_SCORES, p), near_limits)
+    if draw(st.integers(0, 3)) == 0:  # a NaN in one vector of four
+        x[rng.integers(p)] = np.nan
+    return x
 
 
 class TestPdagType:
@@ -374,6 +402,25 @@ class TestSortabilityRankCorr:
         plain = sortability_rank_corr(scores, idx)
         flipped = sortability_rank_corr(scores, idx, largest_first=True)
         assert flipped == pytest.approx(-plain)
+
+    def test_nan_scores_give_zero_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for scores in ([np.nan, 1.0, 2.0], [1.0, 2.0, np.nan], [np.nan] * 3):
+                for largest_first in (False, True):
+                    rho = sortability_rank_corr(scores, [1, 2, 3], largest_first=largest_first)
+                    assert rho == 0.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(scores=rank_scores(), largest_first=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_property_matches_scipy_oracle(self, scores, largest_first, seed):
+        idx = np.random.default_rng(seed).permutation(len(scores)) + 1
+        got = sortability_rank_corr(scores, idx, largest_first=largest_first)
+        want = scipy_sortability_rank_corr(scores, idx, largest_first=largest_first)
+        assert repr(got) == repr(want)
+        ranks = _average_ranks(scores)
+        assert ranks.dtype == np.float64
+        assert np.array_equal(ranks, stats.rankdata(scores), equal_nan=True)
 
     def test_validates_permutation(self):
         with pytest.raises(ValueError):

@@ -6,7 +6,7 @@ from collections import Counter
 from itertools import combinations, product
 
 import numpy as np
-from scipy import linalg
+from scipy import linalg, stats
 
 from dagonion import (
     CholeskyFailure,
@@ -517,3 +517,24 @@ def solve_triangular_dao_sample(g: Dag, rng: np.random.Generator):
         B[v - 1, pa] = z
         omega[v - 1] = 1.0 - float(w @ w)
     return R, SemParameters(g, B, omega)
+
+
+def scipy_sortability_rank_corr(scores, causal_index, *, largest_first: bool = False) -> float:
+    """``sortability_rank_corr`` with the ranks of ``scipy.stats.rankdata``:
+    the exact-equality oracle for its NumPy average ranks."""
+    scores = np.asarray(scores, dtype=float)
+    causal_index = np.asarray(causal_index, dtype=np.intp)
+    p = len(scores)
+    if causal_index.shape != (p,):
+        raise ValueError(
+            f"scores and causal_index lengths differ: {p} vs {causal_index.shape}"
+        )
+    if sorted(causal_index.tolist()) != list(range(1, p + 1)):
+        raise ValueError("causal_index must be a permutation of 1..p")
+    if p < 2 or np.all(scores == scores[0]):
+        return 0.0
+    ranks = stats.rankdata(scores)
+    if largest_first:
+        ranks = (p + 1) - ranks
+    rho = np.corrcoef(np.column_stack((ranks, causal_index)), rowvar=False)[1, 0]
+    return float(rho) if np.isfinite(rho) else 0.0
