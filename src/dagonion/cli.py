@@ -12,10 +12,11 @@ replay     re-run a recorded command and verify its outputs byte for byte
 Every command takes an integer --seed where randomness is involved, embeds
 the seed and tool version in its outputs, and writes files atomically.
 Relative --out paths are resolved against $DAGONION_OUT_DIR when that is
-set. A --manifest records the working directory, and replay re-runs the
-command and checks its outputs there. Exit codes: 0 success, 2 usage, 3
-numerical failure (including data that overflow in simulate), 4 I/O or
-file format problems, among them a malformed manifest given to replay.
+set. A --manifest records the working directory and that variable, and
+replay re-runs the command with both and checks its outputs. Exit codes: 0
+success, 2 usage, 3 numerical failure (including data that overflow in
+simulate), 4 I/O or file format problems, among them a malformed manifest
+given to replay.
 """
 
 from __future__ import annotations
@@ -66,15 +67,23 @@ from .simdata import simulate, standardize_data
 SHAPES = ("er", "sfi", "sfo", "sf-both")
 METHODS = ("dao", "zarx", "tetrad")
 BENCH_METHODS = ("dao", "zarx", "tetrad", "zarx-std", "tetrad-std")
+_OUT_DIR_VAR = "DAGONION_OUT_DIR"
 
 
 def _resolve_out(path: str) -> Path:
     p = Path(path)
     if not p.is_absolute():
-        base = os.environ.get("DAGONION_OUT_DIR")
+        base = os.environ.get(_OUT_DIR_VAR)
         if base:
             p = Path(base) / p
     return p
+
+
+def _set_out_dir(value: str | None) -> None:
+    if value is None:
+        os.environ.pop(_OUT_DIR_VAR, None)
+    else:
+        os.environ[_OUT_DIR_VAR] = value
 
 
 def _rng(seed: int, spawn_key: tuple[int, ...] = ()) -> np.random.Generator:
@@ -346,13 +355,18 @@ def cmd_replay(args) -> list[Path]:
     if not (isinstance(recorded, dict) and all(isinstance(v, str) for v in recorded.values())):
         raise SchemaError(f'{args.manifest}: bad "outputs": {recorded!r}')
     # Relative paths in argv and outputs mean what they meant where the
-    # command ran; a manifest without "cwd" replays in the current directory.
-    here = os.getcwd()
+    # command ran and with its $DAGONION_OUT_DIR; a manifest without "cwd"
+    # or "out_dir" replays in the current directory or environment.
+    here, caller_out_dir = os.getcwd(), os.environ.get(_OUT_DIR_VAR)
     cwd = manifest.get("cwd", here)
     if not isinstance(cwd, str):
         raise SchemaError(f'{args.manifest}: bad "cwd": {cwd!r}')
+    out_dir = manifest.get("out_dir", caller_out_dir)
+    if not (out_dir is None or isinstance(out_dir, str)):
+        raise SchemaError(f'{args.manifest}: bad "out_dir": {out_dir!r}')
     os.chdir(cwd)
     try:
+        _set_out_dir(out_dir)
         rc = main(argv)
         if rc != 0:
             raise SchemaError(f"replayed command failed with exit code {rc}")
@@ -364,6 +378,7 @@ def cmd_replay(args) -> list[Path]:
                 )
     finally:
         os.chdir(here)
+        _set_out_dir(caller_out_dir)
     sys.stdout.write(f"replay ok: {len(recorded)} output(s) verified\n")
     return []
 
@@ -483,6 +498,7 @@ def main(argv: list[str] | None = None) -> int:
             "seed": getattr(args, "seed", None),
             "argv": _strip_manifest(list(argv)),
             "cwd": os.getcwd(),
+            "out_dir": os.environ.get(_OUT_DIR_VAR),
             "outputs": {str(p): sha256_file(p) for p in outputs},
         }
         write_json(_resolve_out(manifest_path), record)

@@ -19,7 +19,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -27,6 +26,7 @@ import numpy as np
 
 from .errors import SchemaError
 from .graph import Dag
+from .metrics import Pdag
 from .sem import SemParameters
 from .simdata import Dataset
 
@@ -34,7 +34,6 @@ __all__ = [
     "atomic_write_text",
     "write_json",
     "read_json",
-    "sha256_bytes",
     "sha256_file",
     "graph_to_dict",
     "graph_from_dict",
@@ -50,12 +49,14 @@ __all__ = [
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:
-    """Write ``text`` to ``path`` via a temporary file and rename."""
+    """Write ``text`` to ``path`` via a new temporary file and rename; ``path``
+    gets the mode of a new file from ``open(path, "w")``: 0o666 less the umask."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    fh = open(tmp, "x", newline="")
     try:
-        with os.fdopen(fd, "w", newline="") as fh:
+        with fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -82,10 +83,6 @@ def read_json(path: str | Path):
         raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
 
 
-def sha256_bytes(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
 def sha256_file(path: str | Path) -> str:
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
@@ -102,18 +99,16 @@ def _is_int(x) -> bool:
 
 
 def _int_pairs(raw, where: str) -> list[tuple[int, int]]:
-    pairs = []
+    """The ``(a, b)`` tuples of a JSON list of two-integer lists, checked in
+    one pass; the SchemaError names the first item that is not one."""
     _require(isinstance(raw, list), where, "expected a list of pairs")
+    pairs = []
     for item in raw:
-        _require(
-            isinstance(item, list) and len(item) == 2, where, f"bad pair {item!r}"
-        )
+        if not (isinstance(item, list) and len(item) == 2):
+            raise SchemaError(f"{where}: bad pair {item!r}")
         a, b = item
-        _require(
-            _is_int(a) and _is_int(b),
-            where,
-            f"pair entries must be integers, got {item!r}",
-        )
+        if not (_is_int(a) and _is_int(b)):
+            raise SchemaError(f"{where}: pair entries must be integers, got {item!r}")
         pairs.append((a, b))
     return pairs
 
@@ -134,7 +129,7 @@ def _order_from_dict(d: dict, p: int, where: str) -> tuple[int, ...] | None:
 
 
 def graph_to_dict(g: Dag, order: tuple[int, ...] | None = None, **extra) -> dict:
-    d: dict = {"p": g.p, "edges": [list(e) for e in g.sorted_edges()]}
+    d: dict = {"p": g.p, "edges": g._ends.tolist()}
     if order is not None:
         d["order"] = list(order)
     d.update(extra)
@@ -174,7 +169,7 @@ def model_to_dict(
     order: tuple[int, ...] | None,
     **extra,
 ) -> dict:
-    d: dict = {
+    return {
         "p": params.g.p,
         "order": list(order) if order is not None else list(range(1, params.g.p + 1)),
         "B": np.asarray(params.B, dtype=float).tolist(),
@@ -182,9 +177,8 @@ def model_to_dict(
         "R": np.asarray(R, dtype=float).tolist(),
         "method": method,
         "seed": seed,
+        **extra,
     }
-    d.update(extra)
-    return d
 
 
 def model_from_dict(d: dict, where: str = "model") -> ModelRecord:
@@ -222,18 +216,15 @@ def model_from_dict(d: dict, where: str = "model") -> ModelRecord:
 
 
 def pdag_to_dict(est, **extra) -> dict:
-    d: dict = {
+    return {
         "p": est.p,
         "directed": [list(e) for e in sorted(est.directed)],
         "undirected": [list(e) for e in sorted(est.undirected)],
+        **extra,
     }
-    d.update(extra)
-    return d
 
 
-def pdag_from_dict(d: dict, where: str = "pdag"):
-    from .metrics import Pdag
-
+def pdag_from_dict(d: dict, where: str = "pdag") -> Pdag:
     _require(isinstance(d, dict), where, "expected a JSON object")
     _require("p" in d, where, 'missing "p"')
     p = d["p"]

@@ -49,7 +49,7 @@ class Dag:
         if not isinstance(self.edges, frozenset):
             object.__setattr__(self, "edges", frozenset(self.edges))
         ends = _edge_array(self.edges, self.p)  # raises on a bad label or a self-loop
-        ends = ends[np.lexsort((ends[:, 1], ends[:, 0]))]
+        ends = ends[np.argsort(ends[:, 0] * (self.p + 1) + ends[:, 1])]  # lexicographic
         ends.flags.writeable = False
         object.__setattr__(self, "_ends", ends)
         object.__setattr__(self, "_order", _walk_source_first(self.p, ends))
@@ -59,15 +59,12 @@ class Dag:
         return len(self.edges)
 
     def parent_map(self) -> dict[int, list[int]]:
-        """Sorted parent lists for every vertex (one pass over the edges)."""
-        pa: dict[int, list[int]] = {v: [] for v in range(1, self.p + 1)}
-        for a, b in self._ends.tolist():  # lexicographic, so each list is sorted
-            pa[b].append(a)
-        return pa
-
-    def sorted_edges(self) -> list[tuple[int, int]]:
-        """Edges in lexicographic order, the canonical serialization order."""
-        return sorted(self.edges)
+        """Sorted parent lists for every vertex: slices of the edge array
+        stably sorted by child, so each slice keeps its ascending parents."""
+        by_child = self._ends[np.argsort(self._ends[:, 1], kind="stable")]
+        lo = np.searchsorted(by_child[:, 1], np.arange(1, self.p + 2)).tolist()
+        pa = by_child[:, 0].tolist()
+        return {v: pa[lo[v - 1]:lo[v]] for v in range(1, self.p + 1)}
 
 
 def er_dag(p: int, avg_degree: float, rng: np.random.Generator) -> Dag:
@@ -200,26 +197,26 @@ def source_first_order(g: Dag) -> tuple[int, ...]:
 
 
 def _walk_source_first(p: int, ends: np.ndarray) -> tuple[int, ...]:
-    indeg = [0] * (p + 1)
-    children: list[list[int]] = [[] for _ in range(p + 1)]
-    for a, b in ends.tolist():
-        indeg[b] += 1
-        children[a].append(b)
-    sources = [v for v in range(1, p + 1) if indeg[v] == 0]
-    order = list(sources)
+    # ends is sorted by parent, so the children of v are ends[lo[v]:lo[v + 1], 1].
+    indeg = np.bincount(ends[:, 1], minlength=p + 1)
+    lo = np.searchsorted(ends[:, 0], np.arange(p + 2)).tolist()
+    kids = ends[:, 1].tolist()
+    sources = (np.flatnonzero(indeg[1:] == 0) + 1).tolist()
+    indeg = indeg.tolist()
+    order: list[int] = []
     heap: list[int] = []
-    for v in sources:
-        for c in children[v]:
-            indeg[c] -= 1
-            if indeg[c] == 0:
-                heapq.heappush(heap, c)
-    while heap:
-        v = heapq.heappop(heap)
+
+    def place(v: int) -> None:
         order.append(v)
-        for c in children[v]:
+        for c in kids[lo[v]:lo[v + 1]]:
             indeg[c] -= 1
             if indeg[c] == 0:
                 heapq.heappush(heap, c)
+
+    for v in sources:  # all placed before any released vertex
+        place(v)
+    while heap:
+        place(heapq.heappop(heap))
     if len(order) != p:
         raise CyclicGraphError("edge set contains a directed cycle")
     return tuple(order)

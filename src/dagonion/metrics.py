@@ -79,10 +79,6 @@ class Pdag:
         object.__setattr__(self, "directed", frozenset(zip(*d.T.tolist())))
         object.__setattr__(self, "undirected", frozenset(zip(*u.T.tolist())))
 
-    @classmethod
-    def from_dag(cls, g: Dag) -> "Pdag":
-        return cls(g.p, frozenset(g.edges), frozenset())
-
 
 @dataclass(frozen=True)
 class PairCounts:
@@ -155,15 +151,10 @@ def _ratio(num: int, den: int) -> float:
 
 def precision_recall(c: ConfusionCounts) -> PrecisionRecall:
     """tp/(tp+fp) and tp/(tp+fn) for both count groups; 0/0 gives 1.0."""
+    a, o = c.adjacency, c.orientation
     return PrecisionRecall(
-        adjacency_precision=_ratio(c.adjacency.tp, c.adjacency.tp + c.adjacency.fp),
-        adjacency_recall=_ratio(c.adjacency.tp, c.adjacency.tp + c.adjacency.fn),
-        orientation_precision=_ratio(
-            c.orientation.tp, c.orientation.tp + c.orientation.fp
-        ),
-        orientation_recall=_ratio(
-            c.orientation.tp, c.orientation.tp + c.orientation.fn
-        ),
+        _ratio(a.tp, a.tp + a.fp), _ratio(a.tp, a.tp + a.fn),
+        _ratio(o.tp, o.tp + o.fp), _ratio(o.tp, o.tp + o.fn),
     )
 
 

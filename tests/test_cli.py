@@ -1,5 +1,6 @@
 import json
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -111,6 +112,15 @@ class TestGenModel:
         graph.write_text(raw)
         assert run("gen-model", "--graph", graph, "--method", "dao",
                    "--seed", 1, "--out", tmp_path / "m.json") == 4
+        assert not (tmp_path / "m.json").exists()
+
+    def test_null_edge_is_one_line_schema_error(self, tmp_path, capsys):
+        graph = tmp_path / "g.json"
+        graph.write_text('{"p": 3, "edges": [[1, 2], null]}')
+        assert run("gen-model", "--graph", graph, "--method", "zarx",
+                   "--seed", 1, "--out", tmp_path / "m.json") == 4
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error[io]: {graph}: bad pair None\n"
         assert not (tmp_path / "m.json").exists()
 
 
@@ -435,6 +445,12 @@ class TestBench:
                    "--methods", "pc", "--seed", 1, "--out", tmp_path / "x.csv") == 2
 
 
+def _tree(root):
+    """Every path under ``root``, with its inode if a file: a rewrite through
+    a temporary file and rename gives a new one."""
+    return {p: p.is_file() and p.stat().st_ino for p in root.rglob("*")}
+
+
 class TestManifestReplay:
     def test_replay_verifies(self, tmp_path, capsys):
         graph = tmp_path / "g.json"
@@ -493,6 +509,55 @@ class TestManifestReplay:
         rec["cwd"] = 3
         (tmp_path / "m.json").write_text(json.dumps(rec))
         assert run("replay", "--manifest", "m.json") == 4
+
+    def _record_in_out1(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("DAGONION_OUT_DIR", "out1")
+        assert run("gen-dag", "--p", 6, "--avg-degree", 2, "--seed", 4,
+                   "--out", "g.json", "--manifest", "m.json") == 0
+        rec = read_json(tmp_path / "out1" / "m.json")
+        assert rec["out_dir"] == "out1" and list(rec["outputs"]) == ["out1/g.json"]
+        return _tree(tmp_path)
+
+    @pytest.mark.parametrize("caller_out_dir", [None, "out2"])
+    def test_replay_uses_recorded_out_dir(self, tmp_path, monkeypatch, capsys,
+                                          caller_out_dir):
+        before = self._record_in_out1(tmp_path, monkeypatch)
+        if caller_out_dir is None:
+            monkeypatch.delenv("DAGONION_OUT_DIR")
+        else:
+            monkeypatch.setenv("DAGONION_OUT_DIR", caller_out_dir)
+        capsys.readouterr()
+        assert run("replay", "--manifest", "out1/m.json") == 0
+        assert capsys.readouterr().out == "replay ok: 1 output(s) verified\n"
+        after = _tree(tmp_path)
+        assert after.keys() == before.keys()  # no stray g.json or out2/
+        assert [p for p in after if after[p] != before[p]] == [tmp_path / "out1" / "g.json"]
+        assert os.environ.get("DAGONION_OUT_DIR") == caller_out_dir
+
+    def test_replay_restores_environment_on_failure(self, tmp_path, monkeypatch):
+        self._record_in_out1(tmp_path, monkeypatch)
+        monkeypatch.setenv("DAGONION_OUT_DIR", "out2")
+        rec = read_json(tmp_path / "out1" / "m.json")
+        rec["outputs"]["out1/g.json"] = "0" * 64
+        (tmp_path / "out1" / "m.json").write_text(json.dumps(rec))
+        assert run("replay", "--manifest", "out1/m.json") == 4
+        assert os.environ["DAGONION_OUT_DIR"] == "out2"
+        assert not (tmp_path / "out2").exists()
+
+    def test_manifest_without_out_dir_replays_with_current_one(self, tmp_path,
+                                                               monkeypatch, capsys):
+        self._record_in_out1(tmp_path, monkeypatch)
+        rec = read_json(tmp_path / "out1" / "m.json")
+        del rec["out_dir"]
+        (tmp_path / "out1" / "m.json").write_text(json.dumps(rec))
+        assert run("replay", "--manifest", "out1/m.json") == 0
+        assert "replay ok" in capsys.readouterr().out
+        rec["out_dir"] = 3
+        (tmp_path / "out1" / "m.json").write_text(json.dumps(rec))
+        assert run("replay", "--manifest", "out1/m.json") == 4
+        assert 'bad "out_dir": 3' in capsys.readouterr().err
+        assert os.environ["DAGONION_OUT_DIR"] == "out1"
 
     @pytest.mark.parametrize("field,value", [
         ("argv", ["replay", "--manifest", "m.json"]),  # used to recurse
@@ -560,6 +625,25 @@ class TestEnvAndMisc:
         assert run("gen-dag", "--p", 4, "--avg-degree", 1, "--seed", 1,
                    "--out", "sub/g.json") == 0
         assert (tmp_path / "sub" / "g.json").exists()
+
+    @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+    def test_outputs_get_the_umask_mode(self, tmp_path, monkeypatch, umask, mode):
+        monkeypatch.chdir(tmp_path)
+        old = os.umask(umask)
+        try:
+            assert run("gen-dag", "--p", 6, "--avg-degree", 2, "--seed", 4,
+                       "--out", "g.json", "--manifest", "m1.json") == 0
+            assert run("gen-model", "--graph", "g.json", "--method", "zarx", "--seed", 5,
+                       "--out", "model.json", "--manifest", "m2.json") == 0
+            assert run("simulate", "--model", "model.json", "--n", 20, "--seed", 6,
+                       "--out", "d.csv", "--manifest", "m3.json") == 0
+        finally:
+            os.umask(old)
+        names = sorted(p.name for p in tmp_path.iterdir())
+        assert names == ["d.csv", "d.meta.json", "g.json", "m1.json", "m2.json",
+                         "m3.json", "model.json"]
+        for name in names:
+            assert stat.S_IMODE((tmp_path / name).stat().st_mode) == mode, name
 
     def test_version_flag(self, capsys):
         assert run("--version") == 0

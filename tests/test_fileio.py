@@ -1,10 +1,23 @@
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
 
-from dagonion import Dag, Pdag, SchemaError, dao_sample, er_dag, simulate, zarx_params
+from dagonion import (
+    Dag,
+    Pdag,
+    SchemaError,
+    dao_sample,
+    er_dag,
+    sfi_rewire,
+    shuffle_labels,
+    simulate,
+    zarx_params,
+)
 from dagonion.fileio import (
+    _int_pairs,
     atomic_write_text,
     graph_from_dict,
     graph_to_dict,
@@ -15,10 +28,10 @@ from dagonion.fileio import (
     pdag_to_dict,
     read_dataset,
     read_json,
-    sha256_bytes,
     write_dataset,
     write_json,
 )
+from util import loop_int_pairs, sha256_bytes
 
 
 class TestAtomicWrite:
@@ -32,6 +45,25 @@ class TestAtomicWrite:
         target = tmp_path / "a" / "b" / "out.txt"
         atomic_write_text(target, "x")
         assert target.read_text() == "x"
+
+    @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+    def test_new_file_gets_the_umask_mode(self, tmp_path, umask, mode):
+        old = os.umask(umask)
+        try:
+            atomic_write_text(tmp_path / "out.txt", "x")
+            open(tmp_path / "plain.txt", "w").close()
+        finally:
+            os.umask(old)
+        for name in ("out.txt", "plain.txt"):
+            assert stat.S_IMODE((tmp_path / name).stat().st_mode) == mode
+
+    def test_failed_write_leaves_old_file_and_no_temp(self, tmp_path):
+        target = tmp_path / "out.txt"
+        target.write_text("old\n")
+        with pytest.raises(UnicodeEncodeError):
+            atomic_write_text(target, "new \udc80")  # a lone surrogate cannot be encoded
+        assert target.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
 
 class TestGraphFormat:
@@ -60,6 +92,16 @@ class TestGraphFormat:
         with pytest.raises(SchemaError):
             graph_from_dict({"p": 2, "edges": [[1, 2], [2, 1]]})
 
+    def test_edges_written_in_sorted_order(self):
+        rng = np.random.default_rng(3)
+        for p, degree in ((1, 0), (12, 11), (40, 6), (200, 20)):
+            g = er_dag(p, degree, rng)
+            for h in (g, sfi_rewire(g, rng)):
+                h, _ = shuffle_labels(h, rng)
+                edges = graph_to_dict(h)["edges"]
+                assert edges == [list(e) for e in sorted(h.edges)]
+                assert all(type(x) is int for e in edges for x in e)
+
     def test_bad_order(self):
         with pytest.raises(SchemaError):
             graph_from_dict({"p": 2, "edges": [], "order": [1, 1]})
@@ -83,6 +125,42 @@ class TestGraphFormat:
         path.write_text("{nope")
         with pytest.raises(SchemaError):
             read_json(path)
+
+
+# Lists of edge pairs, and whether _int_pairs accepts them.
+_PAIR_LISTS = [
+    ([], True),
+    ([[1, 2], [3, 1]], True),
+    ([[2**70, 1]], True),  # Dag rejects the label
+    ([None], False),
+    ([[1, 2], None], False),
+    ([[1, 2], [1, True], None], False),
+    ([[True, 2]], False),
+    ([[1.0, 2]], False),
+    ([[1, 2, 3]], False),
+    ([[1]], False),
+    (["ab"], False),
+    ([(1, 2)], False),
+    ([[np.int64(1), 2]], False),
+    ([[[1], 2]], False),
+    ([[1, None]], False),
+    ("x", False),
+    (None, False),
+]
+
+
+@pytest.mark.parametrize("raw,accepted", _PAIR_LISTS, ids=lambda x: repr(x)[:24])
+def test_int_pairs_match_loop_oracle(raw, accepted):
+    try:
+        want = loop_int_pairs(raw, "g.json")
+    except SchemaError as exc:
+        assert not accepted
+        with pytest.raises(SchemaError) as got:
+            _int_pairs(raw, "g.json")
+        assert str(got.value) == str(exc)  # names the same first bad pair
+    else:
+        assert accepted
+        assert _int_pairs(raw, "g.json") == want
 
 
 class TestModelFormat:

@@ -16,12 +16,14 @@ from dagonion import (
     source_first_order,
 )
 from util import (
+    append_parent_map,
     children,
     enumerate_dags,
     is_consistent,
     is_source_first,
     list_sfi_rewire,
     list_sfo_rewire,
+    list_walk_source_first,
     parents,
 )
 
@@ -70,6 +72,78 @@ class TestDagKeptArrays:
     def test_empty_graph(self):
         g = Dag(3)
         assert g._ends.shape == (0, 2) and g._order == (1, 2, 3)
+
+
+@st.composite
+def _shaped_graphs(draw):
+    """(p, edges) of an er, sfi, sfo or sf-both graph, possibly shuffled,
+    empty or complete; p = 1 included."""
+    p = draw(st.integers(1, 60))
+    density = draw(st.sampled_from([0.0, 1.0, None]))
+    if density is None:
+        density = draw(st.floats(0.0, 1.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = er_dag(p, density * (p - 1), rng)
+    shape = draw(st.sampled_from(["er", "sfi", "sfo", "sf-both"]))
+    if shape in ("sfi", "sf-both"):
+        g = sfi_rewire(g, rng)
+    if shape in ("sfo", "sf-both"):
+        g = sfo_rewire(g, rng)
+    if draw(st.booleans()):
+        g, _ = shuffle_labels(g, rng)
+    return p, g.edges
+
+
+@st.composite
+def _random_edge_sets(draw):
+    """(p, edges) of any loop-free edge set on p <= 30 vertices, cycles allowed."""
+    p = draw(st.integers(1, 30))
+    pair = st.tuples(st.integers(1, p), st.integers(1, max(p - 1, 1))).map(
+        lambda ab: (ab[0], ab[1] + (ab[1] >= ab[0]))
+    )
+    return p, draw(st.frozensets(pair, max_size=0 if p == 1 else 3 * p))
+
+
+class TestEdgeArrayWalkOracle:
+    """The walk and ``parent_map`` slice the kept edge array; the edge-by-edge
+    loops in tests/util.py are their oracles."""
+
+    @staticmethod
+    def _check(p, edges):
+        ends = np.array(sorted(edges), dtype=np.int64).reshape(-1, 2)
+        try:
+            want = list_walk_source_first(p, ends)
+        except CyclicGraphError:
+            with pytest.raises(CyclicGraphError):
+                Dag(p, edges)
+            return False
+        g = Dag(p, edges)
+        assert g._order == want
+        assert g.parent_map() == append_parent_map(g)
+        return True
+
+    @given(_shaped_graphs())
+    def test_shaped_graphs_match(self, pe):
+        assert self._check(*pe)
+
+    @given(_random_edge_sets())
+    def test_random_edge_sets_match(self, pe):
+        self._check(*pe)
+
+    def test_cyclic_and_acyclic_sets_match(self):
+        # Random sets of m edges on 30 vertices: sparse ones are acyclic here,
+        # dense ones are not.
+        rng = np.random.default_rng(5)
+        outcomes = set()
+        for m in (5, 10, 20, 40, 80):
+            pairs = rng.integers(1, 31, size=(m, 2)).tolist()
+            outcomes.add(self._check(30, {(a, b) for a, b in pairs if a != b}))
+        assert outcomes == {True, False}
+
+    def test_edges_in_any_order(self):
+        g = Dag(5, [(4, 1), (5, 2), (1, 2), (5, 1), (3, 2)])
+        assert g._order == (3, 4, 5, 1, 2)
+        assert g.parent_map() == {1: [4, 5], 2: [1, 3, 5], 3: [], 4: [], 5: []}
 
 
 class TestErDag:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import heapq
 from collections import Counter
 from itertools import combinations, product
 
@@ -15,6 +17,7 @@ from dagonion import (
     Dataset,
     Pdag,
     RankDeficientDataError,
+    SchemaError,
     SemParameters,
     cov_to_corr,
     cov_to_dag,
@@ -469,7 +472,7 @@ def edge_loop_zarx_params(g: Dag, rng: np.random.Generator) -> SemParameters:
     """One sign draw and one magnitude draw per edge in lexicographic order:
     the oracle for ``zarx_params``, which draws them all at once."""
     B = np.zeros((g.p, g.p))
-    for a, b in g.sorted_edges():
+    for a, b in sorted(g.edges):
         sign = -1.0 if rng.random() < 0.5 else 1.0
         B[b - 1, a - 1] = sign * rng.uniform(0.5, 2.0)
     return SemParameters(g, B, np.ones(g.p))
@@ -479,7 +482,7 @@ def edge_loop_tetrad_params(g: Dag, rng: np.random.Generator) -> SemParameters:
     """One coefficient draw per edge in lexicographic order: the oracle for
     ``tetrad_params``."""
     B = np.zeros((g.p, g.p))
-    for a, b in g.sorted_edges():
+    for a, b in sorted(g.edges):
         B[b - 1, a - 1] = rng.uniform(-1.0, 1.0)
     return SemParameters(g, B, rng.uniform(1.0, 2.0, size=g.p))
 
@@ -538,3 +541,70 @@ def scipy_sortability_rank_corr(scores, causal_index, *, largest_first: bool = F
         ranks = (p + 1) - ranks
     rho = np.corrcoef(np.column_stack((ranks, causal_index)), rowvar=False)[1, 0]
     return float(rho) if np.isfinite(rho) else 0.0
+
+
+def sha256_bytes(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def pdag_from_dag(g: Dag) -> Pdag:
+    """The estimate that claims exactly the edges of ``g``, all directed."""
+    return Pdag(g.p, frozenset(g.edges), frozenset())
+
+
+def list_walk_source_first(p: int, ends: np.ndarray) -> tuple[int, ...]:
+    """The source-first walk over per-vertex child lists built edge by edge:
+    the oracle for ``graph._walk_source_first``, which slices the edge array."""
+    indeg = [0] * (p + 1)
+    children: list[list[int]] = [[] for _ in range(p + 1)]
+    for a, b in ends.tolist():
+        indeg[b] += 1
+        children[a].append(b)
+    sources = [v for v in range(1, p + 1) if indeg[v] == 0]
+    order = list(sources)
+    heap: list[int] = []
+    for v in sources:
+        for c in children[v]:
+            indeg[c] -= 1
+            if indeg[c] == 0:
+                heapq.heappush(heap, c)
+    while heap:
+        v = heapq.heappop(heap)
+        order.append(v)
+        for c in children[v]:
+            indeg[c] -= 1
+            if indeg[c] == 0:
+                heapq.heappush(heap, c)
+    if len(order) != p:
+        raise CyclicGraphError("edge set contains a directed cycle")
+    return tuple(order)
+
+
+def append_parent_map(g: Dag) -> dict[int, list[int]]:
+    """Parent lists appended edge by edge in lexicographic order: the oracle
+    for ``Dag.parent_map``, which slices the child-sorted edge array."""
+    pa: dict[int, list[int]] = {v: [] for v in range(1, g.p + 1)}
+    for a, b in sorted(g.edges):
+        pa[b].append(a)
+    return pa
+
+
+def loop_int_pairs(raw, where: str) -> list[tuple[int, int]]:
+    """``fileio._int_pairs`` with one check call per pair: its oracle."""
+
+    def require(cond: bool, msg: str) -> None:
+        if not cond:
+            raise SchemaError(f"{where}: {msg}")
+
+    pairs = []
+    require(isinstance(raw, list), "expected a list of pairs")
+    for item in raw:
+        require(isinstance(item, list) and len(item) == 2, f"bad pair {item!r}")
+        a, b = item
+        require(
+            isinstance(a, int) and not isinstance(a, bool)
+            and isinstance(b, int) and not isinstance(b, bool),
+            f"pair entries must be integers, got {item!r}",
+        )
+        pairs.append((a, b))
+    return pairs
