@@ -22,6 +22,7 @@ given to replay.
 from __future__ import annotations
 
 import argparse
+import multiprocessing as mp
 import os
 import sys
 from dataclasses import asdict, astuple
@@ -232,7 +233,7 @@ def cmd_eval(args) -> list[Path]:
     return []
 
 
-# Per-replication statistics, in the order _bench_cell collects them; each
+# Per-replication statistics, in the order _bench_rep collects them; each
 # learner's four follow PrecisionRecall's field order.
 _BENCH_KEYS = (
     "r2_pop",
@@ -251,48 +252,75 @@ _BENCH_COLUMNS = (
 )
 
 
-def _bench_cell(
-    p: int,
-    shape: str,
-    method: str,
-    n: int,
-    reps: int,
-    avg_degree: float,
-    threshold: float,
-    error_kind: str,
-    seed: int,
-    cell_idx: int,
-) -> list:
-    """One grid cell: per-rep pipeline with numerical failures counted, not
-    fatal. Returns the row's values for the columns before ``master_seed``."""
-    samples: list[list[float]] = []
-    failures = 0
-    for rep in range(reps):
-        rng = _rng(seed, spawn_key=(cell_idx, rep))
-        try:
-            g, _ = _apply_shape(er_dag(p, avg_degree, rng), shape, rng)
-            R, params = make_model(g, method, rng)
-            idx = _causal_index(source_first_order(g))
-            rep_vals = [sortability_rank_corr(population_r2(R), idx, largest_first=True)]
-            data = simulate(params, error_kind, n, rng)
-            factor = _data_factor(data)  # serves sample R^2 and both learners
-            r2, var = _sample_r2_from_factor(factor, n), varsortability_scores(data)
-            for scores in (r2, var):
-                rep_vals.append(sortability_rank_corr(scores, idx, largest_first=True))
-            for scores in (var, r2):
-                est = _sort_regress_from_factor(data, factor, scores, threshold)
-                pr = precision_recall(compare_graphs(g, est))
-                rep_vals.extend(astuple(pr))
-        except NumericalError:
-            failures += 1
-            continue
-        samples.append(rep_vals)
-    row = [p, shape, method, n, reps, failures]
+def _bench_rep(task: tuple) -> list[float] | None:
+    """One replication of one grid cell; ``task`` holds the cell parameters,
+    the master seed, the cell index and the replication number. Returns the
+    ``_BENCH_KEYS`` statistics, or None after a numerical failure."""
+    p, shape, method, n, avg_degree, threshold, error_kind, seed, cell_idx, rep = task
+    rng = _rng(seed, spawn_key=(cell_idx, rep))
+    try:
+        g, _ = _apply_shape(er_dag(p, avg_degree, rng), shape, rng)
+        R, params = make_model(g, method, rng)
+        idx = _causal_index(source_first_order(g))
+        rep_vals = [sortability_rank_corr(population_r2(R), idx, largest_first=True)]
+        data = simulate(params, error_kind, n, rng)
+        factor = _data_factor(data)  # serves sample R^2 and both learners
+        r2, var = _sample_r2_from_factor(factor, n), varsortability_scores(data)
+        for scores in (r2, var):
+            rep_vals.append(sortability_rank_corr(scores, idx, largest_first=True))
+        for scores in (var, r2):
+            est = _sort_regress_from_factor(data, factor, scores, threshold)
+            pr = precision_recall(compare_graphs(g, est))
+            rep_vals.extend(astuple(pr))
+    except NumericalError:
+        return None
+    return rep_vals
+
+
+def _bench_row(results: list[list[float] | None]) -> list:
+    """A cell's ``failures`` count and the mean and SD of each statistic over
+    its replications that did not fail, in replication order."""
+    samples = [r for r in results if r is not None]
+    row: list = [len(results) - len(samples)]
     for j in range(len(_BENCH_KEYS)):
         vals = [sample[j] for sample in samples]
         row.append(float(np.mean(vals)) if vals else float("nan"))
         row.append(float(np.std(vals, ddof=1)) if len(vals) > 1 else float("nan"))
     return row
+
+
+def _bench_workers(n_tasks: int) -> int:
+    """Worker processes for ``n_tasks`` replications: one per CPU this process
+    may run on, at most one per task, and none inside a daemonic process,
+    which cannot have children."""
+    if mp.current_process().daemon:
+        return 1
+    return min(len(os.sched_getaffinity(0)), n_tasks)
+
+
+def _run_reps(tasks: list[tuple]) -> list[list[float] | None]:
+    """``_bench_rep`` over ``tasks``, results in task order. Each replication
+    has its own random stream, so the results do not depend on which process
+    runs it. The pool's workers are gone when this returns or raises."""
+    workers = _bench_workers(len(tasks))
+    if workers == 1:
+        return list(map(_bench_rep, tasks))
+    # fork, not spawn: a spawned worker would import numpy and scipy afresh,
+    # which takes longer than a typical grid.
+    pool = mp.get_context("fork").Pool(workers)
+    try:
+        # imap raises the first failure in task order, as the serial map does.
+        # Chunks of 1, 2, 4 and 9 replications measured within noise of each
+        # other on a 36-replication grid; on a 300-replication grid 1 was slowest.
+        results = list(pool.imap(_bench_rep, tasks, chunksize=2))
+    except BaseException:
+        pool.terminate()
+        raise
+    else:
+        pool.close()
+    finally:
+        pool.join()
+    return results
 
 
 def _parse_list(text: str, kind, what: str) -> list:
@@ -328,19 +356,25 @@ def cmd_bench(args) -> list[Path]:
             f"every sample size must exceed every vertex count, got n={min(n_list)} "
             f"with p={max(p_list)}"
         )
+    cells = list(product(p_list, shapes, methods, n_list))  # n varies fastest
+    # cell_idx keys each cell's random streams, rep each replication's.
+    tasks = [
+        (p, shape, method, n, args.avg_degree, args.threshold, args.error, args.seed,
+         cell_idx, rep)
+        for cell_idx, (p, shape, method, n) in enumerate(cells)
+        for rep in range(args.reps)
+    ]
+    results = _run_reps(tasks)
     lines = [",".join(_BENCH_COLUMNS)]
-    # n varies fastest; cell_idx keys each cell's random streams.
-    for cell_idx, (p, shape, method, n) in enumerate(
-        product(p_list, shapes, methods, n_list)
-    ):
-        row = _bench_cell(
-            p, shape, method, n, args.reps, args.avg_degree, args.threshold,
-            args.error, args.seed, cell_idx,
-        )
-        row += [args.seed, __version__]
+    for cell_idx, (p, shape, method, n) in enumerate(cells):
+        row = _bench_row(results[cell_idx * args.reps:(cell_idx + 1) * args.reps])
+        row = [p, shape, method, n, args.reps, *row, args.seed, __version__]
         lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
     out = _resolve_out(args.out)
     atomic_write_text(out, "\n".join(lines) + "\n")
+    failed = results.count(None)
+    if failed:
+        sys.stderr.write(f"bench: {failed} of {len(tasks)} replications failed numerically\n")
     return [out]
 
 

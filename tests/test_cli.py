@@ -1,4 +1,5 @@
 import json
+import multiprocessing as mp
 import os
 import stat
 import subprocess
@@ -11,6 +12,7 @@ import pytest
 from dagonion import Dag, RankDeficientDataError, __version__, sample_r2
 from dagonion import cli, graph
 from dagonion.cli import main
+from dagonion.errors import SchemaError
 from dagonion.fileio import read_dataset, read_json
 from util import corrcoef_sample_r2, lstsq_sample_r2
 
@@ -305,6 +307,22 @@ class TestEval:
         assert -1.0 <= read_json(out)["r2_rank_corr"] <= 1.0
 
 
+# The grid of TestBench.test_seed_meaning_matches_golden_table.
+GOLDEN_GRID = ("bench", "--reps", 2, "--p-list", "6,12", "--avg-degree", 3,
+               "--shapes", "er,sfi,sfo,sf-both",
+               "--methods", "dao,zarx,tetrad,zarx-std,tetrad-std",
+               "--sample-sizes", 100, "--error", "exponential", "--seed", 11)
+# Every replication of this grid fails numerically.
+FAILING_GRID = ("bench", "--reps", 2, "--p-list", 30, "--avg-degree", 29,
+                "--shapes", "er", "--methods", "zarx-std", "--sample-sizes", 200,
+                "--seed", 3)
+
+
+def serial_bench(monkeypatch):
+    """Run bench replications in this process, where counting patches see them."""
+    monkeypatch.setattr(cli, "_bench_workers", lambda n_tasks: 1)
+
+
 class TestBench:
     def test_grid_shape_and_determinism(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -335,6 +353,7 @@ class TestBench:
 
         monkeypatch.setattr(graph, "_walk_source_first", counted_walk)
         monkeypatch.setattr(Dag, "__post_init__", counted_post_init)
+        serial_bench(monkeypatch)
         assert run("bench", "--reps", 3, "--p-list", 12, "--avg-degree", 3,
                    "--shapes", "er,sfi,sf-both", "--methods", "dao,zarx,tetrad-std",
                    "--sample-sizes", 100, "--seed", 1, "--out", tmp_path / "r.csv") == 0
@@ -347,11 +366,7 @@ class TestBench:
         # Integer and string columns must match exactly and float columns
         # within 1e-9, the rule the grid-paper benchmark applies.
         out = tmp_path / "r.csv"
-        assert run("bench", "--reps", 2, "--p-list", "6,12", "--avg-degree", 3,
-                   "--shapes", "er,sfi,sfo,sf-both",
-                   "--methods", "dao,zarx,tetrad,zarx-std,tetrad-std",
-                   "--sample-sizes", 100, "--error", "exponential",
-                   "--seed", 11, "--out", out) == 0
+        assert run(*GOLDEN_GRID, "--out", out) == 0
         got = [line.split(",") for line in out.read_text().splitlines()]
         want = [line.split(",") for line in GOLDEN_BENCH.read_text().splitlines()]
         assert got[0] == want[0] and len(got) == len(want) == 41
@@ -366,17 +381,68 @@ class TestBench:
                     assert np.isnan(float(a)) == np.isnan(float(b)), name
                     assert not abs(float(a) - float(b)) > 1e-9, name
 
-    def test_failures_counted_not_fatal(self, tmp_path):
+    def test_failures_counted_not_fatal(self, tmp_path, capsys):
         # Standardizing a complete zarx graph at p = 30 hits a numerically
         # singular parent block in every replication.
         out = tmp_path / "r.csv"
-        assert run("bench", "--reps", 2, "--p-list", 30, "--avg-degree", 29,
-                   "--shapes", "er", "--methods", "zarx-std", "--sample-sizes", 200,
-                   "--seed", 3, "--out", out) == 0
+        assert run(*FAILING_GRID, "--out", out) == 0
         lines = out.read_text().splitlines()
         row = dict(zip(lines[0].split(","), lines[1].split(",")))
         assert row["failures"] == "2"
         assert row["r2_pop_mean"] == "nan"
+        assert capsys.readouterr().err == "bench: 2 of 2 replications failed numerically\n"
+
+    @pytest.mark.parametrize("grid", [GOLDEN_GRID, FAILING_GRID], ids=["seed11", "seed3"])
+    def test_same_bytes_for_any_worker_count(self, tmp_path, monkeypatch, grid):
+        tables = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(cli, "_bench_workers", lambda n_tasks: workers)
+            out = tmp_path / f"r{workers}.csv"
+            assert run(*grid, "--out", out) == 0
+            assert mp.active_children() == []
+            tables.append(out.read_bytes())
+        assert tables[1] == tables[0] and tables[2] == tables[0]
+
+    def test_workers_follow_affinity_and_task_count(self):
+        assert cli._bench_workers(1) == 1
+        assert cli._bench_workers(10**6) == len(os.sched_getaffinity(0))
+
+    def test_runs_serially_in_daemonic_process(self, tmp_path):
+        # A daemonic process cannot have children, so bench must not fork.
+        out = tmp_path / "daemon.csv"
+        proc = mp.get_context("fork").Process(
+            target=lambda: sys.exit(run(*FAILING_GRID, "--out", out)), daemon=True)
+        proc.start()
+        proc.join(timeout=120)
+        assert proc.exitcode == 0
+        assert run(*FAILING_GRID, "--out", tmp_path / "r.csv") == 0
+        assert out.read_bytes() == (tmp_path / "r.csv").read_bytes()
+
+    def test_no_stderr_without_failures(self, tmp_path, capsys):
+        assert run(*GOLDEN_GRID, "--out", tmp_path / "r.csv") == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("exc,code", [(ValueError, 2), (OSError, 4), (SchemaError, 4)])
+    def test_worker_errors_exit_as_serial_and_leave_no_process(
+            self, tmp_path, monkeypatch, capsys, exc, code):
+        # Forked workers inherit this patch; the p = 12 replications raise.
+        simulate = cli.simulate
+
+        def failing_simulate(params, kind, n, rng):
+            if params.g.p == 12:
+                raise exc("injected failure")
+            return simulate(params, kind, n, rng)
+
+        monkeypatch.setattr(cli, "simulate", failing_simulate)
+        errs = []
+        for workers in (1, 2):
+            monkeypatch.setattr(cli, "_bench_workers", lambda n_tasks: workers)
+            out = tmp_path / "r.csv"
+            assert run(*GOLDEN_GRID, "--out", out) == code
+            assert mp.active_children() == []
+            assert not out.exists()
+            errs.append(capsys.readouterr().err)
+        assert errs[0] == errs[1] and "injected failure" in errs[0]
 
     def test_ill_conditioned_data_are_not_failures(self, tmp_path):
         # Two of the zarx replications at n = 41 have full-rank data with
@@ -412,6 +478,7 @@ class TestBench:
 
         monkeypatch.setattr(cli, "_data_factor", counting_data_factor)
         monkeypatch.setattr(np.linalg, "qr", counting_qr)
+        serial_bench(monkeypatch)
         out = tmp_path / "r.csv"
         assert run("bench", "--reps", 3, "--p-list", "5,8", "--avg-degree", 2,
                    "--shapes", "er,sfo", "--methods", "dao,zarx,tetrad-std",
