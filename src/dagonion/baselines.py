@@ -62,8 +62,7 @@ def _sort_regress_from_factor(
     # entries with j >= k are exactly zero.
     coef = linalg.solve_triangular(S[:-1, :-1], np.triu(S, 1)[:-1])
     src, dst = np.nonzero(np.abs(coef) > threshold)
-    edges = zip((order[src] + 1).tolist(), (order[dst] + 1).tolist())
-    return Pdag(d.p, frozenset(edges), frozenset())
+    return Pdag(d.p, np.column_stack((order[src], order[dst])) + 1)
 
 
 def var_sort_regress(d: Dataset, threshold: float = DEFAULT_THRESHOLD) -> Pdag:

@@ -291,11 +291,13 @@ def _bench_row(results: list[list[float] | None]) -> list:
 
 def _bench_workers(n_tasks: int) -> int:
     """Worker processes for ``n_tasks`` replications: one per CPU this process
-    may run on, at most one per task, and none inside a daemonic process,
-    which cannot have children."""
+    may run on (every CPU where, as on macOS, ``os.sched_getaffinity`` is
+    missing), at most one per task, and none inside a daemonic process, which
+    cannot have children."""
     if mp.current_process().daemon:
         return 1
-    return min(len(os.sched_getaffinity(0)), n_tasks)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return min(cpus or 1, n_tasks)
 
 
 def _run_reps(tasks: list[tuple]) -> list[list[float] | None]:
@@ -347,6 +349,8 @@ def cmd_bench(args) -> list[Path]:
     if args.reps < 1:
         raise ValueError(f"need at least one replication, got --reps {args.reps}")
     _require_threshold(args.threshold)
+    if min(p_list) < 1:
+        raise ValueError(f"every vertex count must be at least 1, got {min(p_list)}")
     if not 0 <= args.avg_degree <= min(p_list) - 1:
         raise ValueError(
             f"average degree {args.avg_degree} must lie in [0, p-1] for every p in {p_list}"

@@ -144,7 +144,7 @@ def graph_from_dict(d: dict, where: str = "graph") -> tuple[Dag, tuple[int, ...]
     edges = _int_pairs(d["edges"], where)
     order = _order_from_dict(d, p, where)
     try:
-        g = Dag(p, frozenset(edges))
+        g = Dag(p, edges)
     except ValueError as exc:
         raise SchemaError(f"{where}: {exc}") from exc
     return g, order
@@ -199,9 +199,8 @@ def model_from_dict(d: dict, where: str = "model") -> ModelRecord:
     # json reads NaN and Infinity; B and omega are checked by SemParameters.
     _require(np.all(np.isfinite(R)), where, '"R" entries must be finite')
     i, j = np.nonzero(B)
-    edges = frozenset(zip((j[i != j] + 1).tolist(), (i[i != j] + 1).tolist()))
     try:
-        g = Dag(p, edges)
+        g = Dag(p, np.column_stack((j, i))[i != j] + 1)
         params = SemParameters(g, B, omega)
     except ValueError as exc:
         raise SchemaError(f"{where}: {exc}") from exc
@@ -232,7 +231,7 @@ def pdag_from_dict(d: dict, where: str = "pdag") -> Pdag:
     directed = _int_pairs(d.get("directed", []), where)
     undirected = _int_pairs(d.get("undirected", []), where)
     try:
-        return Pdag(p, frozenset(directed), frozenset(undirected))
+        return Pdag(p, directed, undirected)
     except ValueError as exc:
         raise SchemaError(f"{where}: {exc}") from exc
 

@@ -31,11 +31,12 @@ __all__ = [
 class Dag:
     """A directed acyclic graph on vertices 1..p.
 
-    ``edges`` holds ``(parent, child)`` pairs. Construction validates label
-    range, self-loops, and acyclicity; a cyclic edge set raises
-    :class:`~dagonion.errors.CyclicGraphError`. It keeps, outside eq, hash and
-    repr, the read-only edge array ``_ends`` in lexicographic order and the
-    source-first ``_order``.
+    ``edges`` holds ``(parent, child)`` pairs, as an iterable or an (m, 2)
+    integer array. Construction validates labels and acyclicity (a cycle
+    raises :class:`~dagonion.errors.CyclicGraphError`) and builds the frozenset
+    once, from an array in lexicographic order. It keeps, outside eq, hash and
+    repr, the read-only edge array ``_ends`` in that order and the source-first
+    ``_order``.
     """
 
     p: int
@@ -46,11 +47,10 @@ class Dag:
     def __post_init__(self) -> None:
         if self.p < 1:
             raise ValueError(f"vertex count must be positive, got {self.p}")
-        if not isinstance(self.edges, frozenset):
-            object.__setattr__(self, "edges", frozenset(self.edges))
-        ends = _edge_array(self.edges, self.p)  # raises on a bad label or a self-loop
-        ends = ends[np.argsort(ends[:, 0] * (self.p + 1) + ends[:, 1])]  # lexicographic
-        ends.flags.writeable = False
+        array = isinstance(self.edges, np.ndarray)
+        edges = self.edges if array else frozenset(self.edges)  # a frozenset is kept as is
+        ends, _ = _sorted_pairs(_edge_array(edges, self.p), self.p)  # raises on a bad label
+        object.__setattr__(self, "edges", frozenset(zip(*ends.T.tolist())) if array else edges)
         object.__setattr__(self, "_ends", ends)
         object.__setattr__(self, "_order", _walk_source_first(self.p, ends))
 
@@ -83,13 +83,11 @@ def er_dag(p: int, avg_degree: float, rng: np.random.Generator) -> Dag:
         )
     m = round(avg_degree * p / 2)
     n_pairs = p * (p - 1) // 2
-    if m > n_pairs:
-        raise ValueError(f"target edge count {m} exceeds maximum {n_pairs}")
     if m == 0:
-        return Dag(p, frozenset())
+        return Dag(p)
     rows, cols = np.triu_indices(p, k=1)
     chosen = rng.choice(n_pairs, size=m, replace=False)
-    return Dag(p, frozenset(zip((rows[chosen] + 1).tolist(), (cols[chosen] + 1).tolist())))
+    return Dag(p, np.column_stack((rows[chosen], cols[chosen])) + 1)
 
 
 def sfi_rewire(g: Dag, rng: np.random.Generator) -> Dag:
@@ -138,7 +136,7 @@ def _rewire(g: Dag, rng: np.random.Generator, *, forward: bool) -> Dag:
         )
     need = np.bincount(ends[:, 1] if forward else ends[:, 0], minlength=p + 1)
     deg = np.zeros(p + 1)  # degree gained so far in the rewired graph; slot 0 unused
-    edges: list[tuple[int, int]] = []
+    edges: list[int] = []  # flat (parent, child) labels
     for i in range(1, p + 1) if forward else range(p, 0, -1):
         if need[i] == 0:
             continue
@@ -150,19 +148,23 @@ def _rewire(g: Dag, rng: np.random.Generator, *, forward: bool) -> Dag:
             w[k] = 0.0
             j = lo + k
             deg[j] += 1.0
-            edges.append((j, i) if forward else (i, j))
-    return Dag(p, frozenset(edges))
+            edges.extend((j, i) if forward else (i, j))
+    return Dag(p, np.array(edges, np.int64).reshape(-1, 2))
 
 
 def _edge_array(edges, p: int) -> np.ndarray:
-    """The (m, 2) int64 array of the (a, b) pairs in ``edges``, in iteration
-    order. Raises ValueError unless every item is a pair of labels in 1..p
-    with a != b."""
-    m = len(edges)
-    try:
-        ends = np.fromiter(chain.from_iterable(edges), np.int64).reshape(m, 2)
-    except OverflowError:
-        raise ValueError(f"an edge label lies outside vertex range 1..{p}") from None
+    """The (m, 2) int64 array of the (a, b) pairs in ``edges``, an (m, 2)
+    integer array or an iterable of pairs, in the given order. Raises
+    ValueError unless every item is a pair of labels in 1..p with a != b."""
+    if isinstance(edges, np.ndarray):
+        if edges.dtype.kind not in "iu" or edges.shape[1:] != (2,):
+            raise ValueError(f"edge array must be (m, 2) integer, not {edges.dtype} {edges.shape}")
+        ends = edges.astype(np.int64, copy=False)  # an unsigned label past int64 wraps below 1
+    else:
+        try:
+            ends = np.fromiter(chain.from_iterable(edges), np.int64).reshape(len(edges), 2)
+        except OverflowError:
+            raise ValueError(f"an edge label lies outside vertex range 1..{p}") from None
     if ends.min(initial=1) < 1 or ends.max(initial=p) > p:
         out = ends[((ends < 1) | (ends > p)).any(axis=1)][0]
         raise ValueError(f"edge {tuple(out.tolist())} outside vertex range 1..{p}")
@@ -172,18 +174,29 @@ def _edge_array(edges, p: int) -> np.ndarray:
     return ends
 
 
-def shuffle_labels(
-    g: Dag, rng: np.random.Generator
-) -> tuple[Dag, tuple[int, ...]]:
+def _sorted_pairs(ends: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of ``ends`` by ascending code without repeats, and their codes; read-only."""
+    code = _codes(ends, p)
+    order = np.argsort(code)
+    order = order[np.diff(code[order], prepend=-1) != 0]  # codes are positive
+    ends, code = ends[order], code[order]
+    ends.flags.writeable = code.flags.writeable = False
+    return ends, code
+
+
+def _codes(ends: np.ndarray, p: int) -> np.ndarray:
+    """The code a * (p + 1) + b of each pair (a, b), ascending in lexicographic order."""
+    return ends[:, 0] * (p + 1) + ends[:, 1]
+
+
+def shuffle_labels(g: Dag, rng: np.random.Generator) -> tuple[Dag, tuple[int, ...]]:
     """Relabel the vertices by a uniformly random permutation.
 
     Returns the relabeled graph and the permutation as a tuple ``perm``
     where ``perm[v-1]`` is the new label of old vertex ``v``.
     """
     perm = rng.permutation(g.p) + 1
-    ends = perm[g._ends - 1]
-    edges = frozenset(zip(ends[:, 0].tolist(), ends[:, 1].tolist()))
-    return Dag(g.p, edges), tuple(perm.tolist())
+    return Dag(g.p, perm[g._ends - 1]), tuple(perm.tolist())
 
 
 def source_first_order(g: Dag) -> tuple[int, ...]:

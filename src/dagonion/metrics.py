@@ -18,13 +18,13 @@ false positive a spurious directed edge earns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import lapack
 
 from .errors import RankDeficientDataError, SingularMatrixError
-from .graph import Dag, _edge_array
+from .graph import Dag, _codes, _edge_array, _sorted_pairs
 from .simdata import Dataset
 
 __all__ = [
@@ -46,38 +46,36 @@ class Pdag:
     """A partially directed graph: directed plus undirected edges.
 
     ``directed`` holds (parent, child) pairs; ``undirected`` holds unordered
-    pairs. Construction stores both as frozensets of Python-int tuples, with
-    each undirected pair normalized to (min, max), and raises ValueError for
-    a label outside 1..p, a self-loop, a pair in both directions of
-    ``directed``, or a pair in both sets (in either orientation). Full
-    equivalence-class semantics are not enforced; this is a container for
-    estimated structures.
+    pairs. Each is an iterable of pairs or an (m, 2) integer array. Construction
+    builds each frozenset once, from its edge array, of Python-int tuples with
+    undirected pairs as (min, max); it keeps the sorted codes of both outside
+    eq, hash and repr. It raises ValueError for a label outside 1..p, a
+    self-loop, a pair in both directions of ``directed``, or a pair in both
+    sets (in either orientation). Full equivalence-class semantics are not
+    enforced; this is a container for estimated structures.
     """
 
     p: int
-    directed: frozenset[tuple[int, int]] = frozenset()
-    undirected: frozenset[tuple[int, int]] = frozenset()
+    directed: frozenset[tuple[int, int]] = field(default_factory=frozenset)
+    undirected: frozenset[tuple[int, int]] = field(default_factory=frozenset)
+    _directed_codes: np.ndarray = field(init=False, repr=False, compare=False)
+    _undirected_codes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         p = self.p
         if p < 1:
             raise ValueError(f"vertex count must be positive, got {p}")
-        d = _edge_array(self.directed, p)
-        u = np.sort(_edge_array(self.undirected, p), axis=1)
-        # Sorted by unordered pair, neighbours with the same pair must have
-        # the same directed code. Undirected pairs get code 0, and the stable
-        # sort keeps them after the directed ones.
-        pair = np.concatenate((_codes(d, p, unordered=True), _codes(u, p)))
-        code = np.concatenate((_codes(d, p), np.zeros(len(u), np.int64)))
-        order = np.argsort(pair, kind="stable")
-        pair, code = pair[order], code[order]
-        clash = (pair[1:] == pair[:-1]) & (code[1:] != code[:-1])
-        if np.any(clash & (code[1:] > 0)):
+        d, dcode = _sorted_pairs(_edge_array(self.directed, p), p)
+        u, ucode = _sorted_pairs(np.sort(_edge_array(self.undirected, p), axis=1), p)
+        if len(np.intersect1d(dcode, _codes(d[:, ::-1], p), assume_unique=True)):
             raise ValueError("a pair appears in both directions of directed")
-        if np.any(clash):
+        # With no pair in both directions, the (min, max) codes are unique too.
+        if len(np.intersect1d(_codes(np.sort(d, axis=1), p), ucode, assume_unique=True)):
             raise ValueError("a pair appears in both directed and undirected sets")
         object.__setattr__(self, "directed", frozenset(zip(*d.T.tolist())))
         object.__setattr__(self, "undirected", frozenset(zip(*u.T.tolist())))
+        object.__setattr__(self, "_directed_codes", dcode)
+        object.__setattr__(self, "_undirected_codes", ucode)
 
 
 @dataclass(frozen=True)
@@ -109,23 +107,17 @@ def compare_graphs(truth: Dag, estimate: Pdag) -> ConfusionCounts:
     ValueError when the vertex counts differ.
     """
     if truth.p != estimate.p:
-        raise ValueError(
-            f"vertex counts differ: truth {truth.p}, estimate {estimate.p}"
-        )
-    # Each pair (a, b) becomes the code a * (p + 1) + b, unique per ordered
-    # pair; the codes of the (min, max) pairs count adjacencies. Codes are
-    # unique within each side: a Dag has no pair twice, and a Pdag no pair in
-    # both directions or in both sets.
-    p = truth.p
-    t, d = truth._ends, _edge_array(estimate.directed, p)
-    est_pairs = np.concatenate(
-        (_codes(d, p, unordered=True), _codes(_edge_array(estimate.undirected, p), p))
+        raise ValueError(f"vertex counts differ: truth {truth.p}, estimate {estimate.p}")
+    p, t = truth.p, truth._ends
+    d, u = estimate._directed_codes, estimate._undirected_codes
+    # A true edge a -> b is estimated as a -> b, b -> a, a - b or not at all.
+    # Codes are unique within each side: a Dag has no pair twice, and a Pdag
+    # no pair in both directions or in both sets.
+    agree, flipped, undirected = (
+        len(np.intersect1d(_codes(ends, p), codes, assume_unique=True))
+        for ends, codes in ((t, d), (t[:, ::-1], d), (np.sort(t, axis=1), u))
     )
-    adj_tp = len(np.intersect1d(_codes(t, p, unordered=True), est_pairs, assume_unique=True))
-    # Each true edge has one direction, so an equal directed code means the
-    # true edge was estimated with its own orientation.
-    agree = len(np.intersect1d(_codes(t, p), _codes(d, p), assume_unique=True))
-    n_true, n_est = len(t), len(est_pairs)
+    adj_tp, n_true, n_est = agree + flipped + undirected, len(t), len(d) + len(u)
     return ConfusionCounts(
         adjacency=PairCounts(
             adj_tp, n_est - adj_tp, n_true - adj_tp,
@@ -133,15 +125,6 @@ def compare_graphs(truth: Dag, estimate: Pdag) -> ConfusionCounts:
         ),
         orientation=PairCounts(agree, len(d) - agree, n_true - agree, agree),
     )
-
-
-def _codes(ends: np.ndarray, p: int, *, unordered: bool = False) -> np.ndarray:
-    """The code a * (p + 1) + b of each pair (a, b) of labels in 1..p; with
-    ``unordered``, the code of (min(a, b), max(a, b))."""
-    a, b = ends[:, 0], ends[:, 1]
-    if unordered:
-        a, b = np.minimum(a, b), np.maximum(a, b)
-    return a * (p + 1) + b
 
 
 def _ratio(num: int, den: int) -> float:

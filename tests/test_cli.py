@@ -9,8 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dagonion import Dag, RankDeficientDataError, __version__, sample_r2
-from dagonion import cli, graph
+from dagonion import Dag, Pdag, RankDeficientDataError, __version__, sample_r2
+from dagonion import cli, graph, metrics
 from dagonion.cli import main
 from dagonion.errors import SchemaError
 from dagonion.fileio import read_dataset, read_json
@@ -361,6 +361,43 @@ class TestBench:
         dags = 3 * 3 * (1 + 2 + 3)
         assert counts == dict(walks=dags, dags=dags)
 
+    def test_one_edge_array_per_graph_side(self, tmp_path, monkeypatch):
+        # Each Dag converts its edges to an array once and each Pdag once per
+        # side, when built; compare_graphs reads the codes they keep.
+        counts = dict(arrays=0, in_compare=0, dags=0, pdags=0)
+        edge_array, compare = graph._edge_array, cli.compare_graphs
+        dag_init, pdag_init = Dag.__post_init__, Pdag.__post_init__
+
+        def counted_edge_array(*args):
+            counts["arrays"] += 1
+            return edge_array(*args)
+
+        def flagged_compare(*args):
+            before = counts["arrays"]
+            try:
+                return compare(*args)
+            finally:
+                counts["in_compare"] += counts["arrays"] - before
+
+        def counted(kind, post_init):
+            def wrapper(obj):
+                counts[kind] += 1
+                post_init(obj)
+            return wrapper
+
+        for module in (graph, metrics):
+            monkeypatch.setattr(module, "_edge_array", counted_edge_array)
+        monkeypatch.setattr(cli, "compare_graphs", flagged_compare)
+        monkeypatch.setattr(Dag, "__post_init__", counted("dags", dag_init))
+        monkeypatch.setattr(Pdag, "__post_init__", counted("pdags", pdag_init))
+        serial_bench(monkeypatch)
+        assert run("bench", "--reps", 2, "--p-list", 8, "--avg-degree", 2,
+                   "--shapes", "er,sfi", "--methods", "dao,zarx",
+                   "--sample-sizes", 100, "--seed", 1, "--out", tmp_path / "r.csv") == 0
+        # Per replication er builds one Dag, sfi two; each learner one Pdag.
+        dags, pdags = 2 * 2 * (1 + 2), 2 * 2 * 2 * 2
+        assert counts == dict(arrays=dags + 2 * pdags, in_compare=0, dags=dags, pdags=pdags)
+
     def test_seed_meaning_matches_golden_table(self, tmp_path):
         # What seed 11 means: the table this grid gave when it was recorded.
         # Integer and string columns must match exactly and float columns
@@ -406,6 +443,16 @@ class TestBench:
     def test_workers_follow_affinity_and_task_count(self):
         assert cli._bench_workers(1) == 1
         assert cli._bench_workers(10**6) == len(os.sched_getaffinity(0))
+
+    def test_workers_without_sched_getaffinity(self, tmp_path, monkeypatch):
+        # Python has no os.sched_getaffinity on macOS; bench counts every CPU there.
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert cli._bench_workers(10**6) == os.cpu_count()
+        assert cli._bench_workers(1) == 1
+        out = tmp_path / "r.csv"
+        assert run("bench", "--reps", 1, "--p-list", 5, "--avg-degree", 2, "--shapes", "er",
+                   "--methods", "dao", "--sample-sizes", 100, "--seed", 1, "--out", out) == 0
+        assert len(out.read_text().splitlines()) == 2
 
     def test_runs_serially_in_daemonic_process(self, tmp_path):
         # A daemonic process cannot have children, so bench must not fork.
@@ -506,6 +553,15 @@ class TestBench:
                    "--sample-sizes", 100, "--seed", 1, "--out", out, *bad) == 2
         assert "error[usage]" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_vertex_count_below_one_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        for p_list, low in (("0", 0), ("5,0", 0), ("7,-2,3", -2)):
+            assert run("bench", "--reps", 1, "--p-list", p_list, "--avg-degree", 0,
+                       "--sample-sizes", 100, "--seed", 1, "--out", out) == 2
+            err = capsys.readouterr().err
+            assert err == f"error[usage]: every vertex count must be at least 1, got {low}\n"
+            assert not out.exists()
 
     def test_rejects_unknown_method(self, tmp_path):
         assert run("bench", "--reps", 1, "--p-list", 5, "--avg-degree", 2,

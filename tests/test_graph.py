@@ -2,7 +2,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -25,6 +25,7 @@ from util import (
     list_sfo_rewire,
     list_walk_source_first,
     parents,
+    shuffled_pair_array,
 )
 
 
@@ -102,6 +103,46 @@ def _random_edge_sets(draw):
         lambda ab: (ab[0], ab[1] + (ab[1] >= ab[0]))
     )
     return p, draw(st.frozensets(pair, max_size=0 if p == 1 else 3 * p))
+
+
+class TestArrayInput:
+    """An (m, 2) integer array builds the same Dag as the frozenset of its rows."""
+
+    @settings(max_examples=200)
+    @given(shaped=_shaped_graphs(), seed=st.integers(0, 2**32 - 1))
+    def test_same_graph_as_from_frozenset(self, shaped, seed):
+        p, edges = shaped
+        g = Dag(p, shuffled_pair_array(edges, np.random.default_rng(seed)))
+        # A frozenset's repr follows its insertion order; an array's rows go in sorted.
+        h = Dag(p, frozenset(sorted(edges)))
+        assert g == h and hash(g) == hash(h) and repr(g) == repr(h)
+        assert np.array_equal(g._ends, h._ends) and g._order == h._order
+        assert all(type(x) is int for e in g.edges for x in e)
+
+    def test_unsigned_and_empty_arrays(self):
+        assert Dag(3, np.array([[2, 3], [1, 2]], np.uint8)) == Dag(3, {(1, 2), (2, 3)})
+        assert Dag(3, np.empty((0, 2), np.int64)) == Dag(3)
+
+    @pytest.mark.parametrize("ends", [
+        np.array([[1.0, 2.0]]),
+        np.array([[True, False]]),
+        np.array([[1, 2, 3]]),
+        np.array([1, 2]),
+        np.array([[[1, 2]]]),
+        np.array([[1, 2]], dtype=object),
+        np.array([[1, 4]]),
+        np.array([[0, 2]]),
+        np.array([[2**64 - 1, 2]], np.uint64),
+        np.array([[1, 2], [3, 3]]),
+    ], ids=["float", "bool", "m-by-3", "1-d", "3-d", "object", "above-p", "zero",
+            "uint64-wraps", "self-loop"])
+    def test_rejects_bad_arrays(self, ends):
+        with pytest.raises(ValueError):
+            Dag(3, ends)
+
+    def test_rejects_cyclic_array(self):
+        with pytest.raises(CyclicGraphError):
+            Dag(3, np.array([[1, 2], [2, 3], [3, 1]]))
 
 
 class TestEdgeArrayWalkOracle:

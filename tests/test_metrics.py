@@ -42,6 +42,7 @@ from util import (
     near_collinear_data,
     pdag_from_dag,
     scipy_sortability_rank_corr,
+    shuffled_pair_array,
     three_pass_pdag_sets,
 )
 
@@ -110,6 +111,47 @@ class TestPdagType:
         with pytest.raises(ValueError):
             Pdag(3, frozenset(directed), frozenset(undirected))
 
+    @settings(max_examples=200)
+    @given(p=st.integers(1, 30), seed=st.integers(0, 2**32 - 1))
+    def test_array_input_same_as_frozensets(self, p, seed):
+        rng = np.random.default_rng(seed)
+        states = rng.choice(4, size=p * (p - 1) // 2, p=[0.4, 0.2, 0.2, 0.2])
+        pairs = all_pairs(p)
+        directed = [ab if s == 1 else ab[::-1] for ab, s in zip(pairs, states) if s in (1, 2)]
+        undirected = [ab for ab, s in zip(pairs, states) if s == 3]
+        flipped = [ab[::-1] if rng.random() < 0.5 else ab for ab in undirected]
+        got = Pdag(p, shuffled_pair_array(directed, rng), shuffled_pair_array(flipped, rng))
+        # A frozenset's repr follows its insertion order; an array's rows go in sorted.
+        want = Pdag(p, frozenset(sorted(directed)), frozenset(undirected))
+        assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+        for codes in (got._directed_codes, got._undirected_codes):
+            assert np.all(np.diff(codes) > 0) and not codes.flags.writeable
+        assert np.array_equal(got._directed_codes, want._directed_codes)
+        assert np.array_equal(got._undirected_codes, want._undirected_codes)
+
+    @pytest.mark.parametrize("ends", [
+        np.array([[1.0, 2.0]]),
+        np.array([[True, False]]),
+        np.array([[1, 2, 3]]),
+        np.array([1, 2]),
+        np.array([[1, 4]]),
+        np.array([[0, 2]]),
+        np.array([[2, 2]]),
+    ], ids=["float", "bool", "m-by-3", "1-d", "above-p", "zero", "self-loop"])
+    def test_rejects_bad_arrays(self, ends):
+        with pytest.raises(ValueError):
+            Pdag(3, ends)
+        with pytest.raises(ValueError):
+            Pdag(3, np.empty((0, 2), np.int64), ends)
+
+    def test_array_pair_checks(self):
+        with pytest.raises(ValueError, match="both directions"):
+            Pdag(3, np.array([[1, 2], [2, 1]]))
+        with pytest.raises(ValueError, match="both directed and undirected"):
+            Pdag(3, np.array([[2, 1]]), np.array([[2, 1]]))
+        assert Pdag(3, np.array([[1, 2], [1, 2]]), np.array([[3, 2]])) == Pdag(
+            3, {(1, 2)}, {(2, 3)})
+
     @settings(max_examples=300)
     @given(data=st.data(), p=st.integers(1, 30), seed=st.integers(0, 2**32 - 1))
     def test_property_matches_three_pass_oracle(self, data, p, seed):
@@ -127,8 +169,12 @@ class TestPdagType:
         undirected += data.draw(raw)
         if data.draw(st.booleans()):
             directed = [(np.int64(a), np.int64(b)) for a, b in directed]
-        if data.draw(st.booleans()):
+        form = data.draw(st.sampled_from(["list", "frozenset", "array"]))
+        if form == "frozenset":
             directed, undirected = frozenset(directed), frozenset(undirected)
+        elif form == "array":
+            directed, undirected = (np.array(e, np.int64).reshape(-1, 2)
+                                    for e in (directed, undirected))
         try:
             want = three_pass_pdag_sets(p, directed, undirected)
         except ValueError as exc:

@@ -35,6 +35,15 @@ def all_pairs(p: int) -> list[tuple[int, int]]:
     return list(combinations(range(1, p + 1), 2))
 
 
+def shuffled_pair_array(pairs, rng: np.random.Generator) -> np.ndarray:
+    """An int32 or int64 (m, 2) array of ``pairs``: rows in random order, and
+    up to three of them repeated."""
+    rows = np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2)
+    if len(rows):
+        rows = np.concatenate((rows, rows[rng.integers(0, len(rows), rng.integers(0, 4))]))
+    return rng.permutation(rows).astype((np.int32, np.int64)[rng.integers(2)])
+
+
 def enumerate_dags(p: int) -> list[Dag]:
     """Every labeled DAG on p vertices (feasible for p <= 4)."""
     pairs = all_pairs(p)
