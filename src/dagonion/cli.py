@@ -22,7 +22,6 @@ given to replay.
 from __future__ import annotations
 
 import argparse
-import multiprocessing as mp
 import os
 import sys
 from dataclasses import asdict, astuple
@@ -64,6 +63,7 @@ from .metrics import (
 from .onion import dao_sample
 from .sem import cov_to_corr, implied_covariance, standardize, tetrad_params, zarx_params
 from .simdata import simulate, standardize_data
+from .workers import ordered_map
 
 SHAPES = ("er", "sfi", "sfo", "sf-both")
 METHODS = ("dao", "zarx", "tetrad")
@@ -289,40 +289,14 @@ def _bench_row(results: list[list[float] | None]) -> list:
     return row
 
 
-def _bench_workers(n_tasks: int) -> int:
-    """Worker processes for ``n_tasks`` replications: one per CPU this process
-    may run on (every CPU where, as on macOS, ``os.sched_getaffinity`` is
-    missing), at most one per task, and none inside a daemonic process, which
-    cannot have children."""
-    if mp.current_process().daemon:
-        return 1
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return min(cpus or 1, n_tasks)
-
-
 def _run_reps(tasks: list[tuple]) -> list[list[float] | None]:
     """``_bench_rep`` over ``tasks``, results in task order. Each replication
     has its own random stream, so the results do not depend on which process
-    runs it. The pool's workers are gone when this returns or raises."""
-    workers = _bench_workers(len(tasks))
-    if workers == 1:
-        return list(map(_bench_rep, tasks))
-    # fork, not spawn: a spawned worker would import numpy and scipy afresh,
-    # which takes longer than a typical grid.
-    pool = mp.get_context("fork").Pool(workers)
-    try:
-        # imap raises the first failure in task order, as the serial map does.
-        # Chunks of 1, 2, 4 and 9 replications measured within noise of each
-        # other on a 36-replication grid; on a 300-replication grid 1 was slowest.
-        results = list(pool.imap(_bench_rep, tasks, chunksize=2))
-    except BaseException:
-        pool.terminate()
-        raise
-    else:
-        pool.close()
-    finally:
-        pool.join()
-    return results
+    runs it."""
+    # Chunks of 1, 2, 4 and 9 replications measured within noise of each
+    # other on a 36-replication grid; on a 300-replication grid 1 was slowest.
+    with ordered_map(_bench_rep, tasks, chunksize=2) as results:
+        return list(results)
 
 
 def _parse_list(text: str, kind, what: str) -> list:

@@ -19,7 +19,9 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from collections.abc import Iterable
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +31,7 @@ from .graph import Dag
 from .metrics import Pdag
 from .sem import SemParameters
 from .simdata import Dataset
+from .workers import ordered_map
 
 __all__ = [
     "atomic_write_text",
@@ -48,16 +51,17 @@ __all__ = [
 ]
 
 
-def atomic_write_text(path: str | Path, text: str) -> None:
-    """Write ``text`` to ``path`` via a new temporary file and rename; ``path``
-    gets the mode of a new file from ``open(path, "w")``: 0o666 less the umask."""
+def atomic_write_text(path: str | Path, text: str | Iterable[str]) -> None:
+    """Write ``text``, a string or an iterable of string parts written in
+    turn, to ``path`` via a new temporary file and rename; ``path`` gets the
+    mode of a new file from ``open(path, "w")``: 0o666 less the umask."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
     fh = open(tmp, "x", newline="")
     try:
         with fh:
-            fh.write(text)
+            fh.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -67,8 +71,46 @@ def atomic_write_text(path: str | Path, text: str) -> None:
         raise
 
 
+_NUMBER = (int, float)  # exact types: bool is a subclass of int
+
+
+def _is_number_list(v) -> bool:
+    return type(v) is list and len(v) > 0 and all(type(x) in _NUMBER for x in v)
+
+
+def _json_value(v, indent: str) -> str:
+    """``v`` as ``json.dumps(v, indent=2)`` lays it out at nesting ``indent``.
+
+    Lists of numbers and lists of lists of numbers, the bulk of graph and
+    model files, go through the C encoder's compact form, re-indented by
+    replacing its separators: number tokens contain neither ``, `` nor
+    ``], [``. Dicts with only str keys and other lists are walked. Every
+    other value goes through ``json.dumps(indent=2)``, among them dicts with
+    an int key, which ``json.dumps`` quotes only when it encodes the dict.
+    """
+    inner = indent + "  "
+    if type(v) is dict and v and all(type(k) is str for k in v):
+        items = (f"{inner}{json.dumps(k)}: {_json_value(x, inner)}" for k, x in v.items())
+        return "{\n" + ",\n".join(items) + "\n" + indent + "}"
+    if _is_number_list(v):
+        body = json.dumps(v)[1:-1].replace(", ", ",\n" + inner)
+        return "[\n" + inner + body + "\n" + indent + "]"
+    if type(v) is list and v:
+        if all(_is_number_list(x) for x in v):
+            row = inner + "  "
+            body = (
+                json.dumps(v)[2:-2]
+                .replace("], [", f"\n{inner}],\n{inner}[\n{row}")
+                .replace(", ", ",\n" + row)
+            )
+            return f"[\n{inner}[\n{row}{body}\n{inner}]\n{indent}]"
+        return "[\n" + ",\n".join(inner + _json_value(x, inner) for x in v) + "\n" + indent + "]"
+    return json.dumps(v, indent=2).replace("\n", "\n" + indent)
+
+
 def dumps_json(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+    """``json.dumps(obj, indent=2)`` plus a final newline, byte for byte."""
+    return _json_value(obj, "") + "\n"
 
 
 def write_json(path: str | Path, obj) -> None:
@@ -84,8 +126,11 @@ def read_json(path: str | Path):
 
 
 def sha256_file(path: str | Path) -> str:
+    h = hashlib.sha256()
     with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
+        while block := fh.read(1 << 20):
+            h.update(block)
+    return h.hexdigest()
 
 
 def _require(cond: bool, where: str, msg: str) -> None:
@@ -241,12 +286,27 @@ def meta_path(csv_path: str | Path) -> Path:
     return Path(csv_path).with_suffix(".meta.json")
 
 
+# Datasets of at least _PARALLEL_MIN_VALUES values are formatted in chunks
+# of about _CHUNK_VALUES values, by worker processes where there is more
+# than one CPU; smaller ones are one chunk, as forking would cost more than
+# it saves.
+_PARALLEL_MIN_VALUES = 1 << 17
+_CHUNK_VALUES = 1 << 15
+
+
+def _csv_rows(block: np.ndarray) -> str:
+    """The CSV lines of ``block``'s rows: shortest round-trip floats."""
+    return "".join(",".join(map(repr, row)) + "\n" for row in block.tolist())
+
+
 def write_dataset(path: str | Path, d: Dataset) -> None:
-    """Write the CSV and its metadata sidecar."""
-    lines = [",".join(d.names)]
-    for row in d.values:
-        lines.append(",".join(repr(float(x)) for x in row))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    """Write the CSV and its metadata sidecar. Each chunk of rows is written
+    as it is formatted, so a large dataset's CSV text is never held whole."""
+    values = d.values
+    rows = d.n if values.size < _PARALLEL_MIN_VALUES else max(1, _CHUNK_VALUES // d.p)
+    chunks = [values[i:i + rows] for i in range(0, d.n, rows)]
+    with ordered_map(_csv_rows, chunks) as parts:
+        atomic_write_text(path, chain([",".join(d.names) + "\n"], parts))
     meta = dict(d.meta)
     meta["names"] = list(d.names)
     write_json(meta_path(path), meta)

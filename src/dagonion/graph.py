@@ -85,9 +85,14 @@ def er_dag(p: int, avg_degree: float, rng: np.random.Generator) -> Dag:
     n_pairs = p * (p - 1) // 2
     if m == 0:
         return Dag(p)
-    rows, cols = np.triu_indices(p, k=1)
     chosen = rng.choice(n_pairs, size=m, replace=False)
-    return Dag(p, np.column_stack((rows[chosen], cols[chosen])) + 1)
+    # Pair t in row-major order of the upper triangle, as np.triu_indices(p, 1)
+    # lists them, without building that O(p^2) list: row r starts at off[r].
+    r = np.arange(p - 1)
+    off = r * (2 * p - r - 1) // 2
+    rows = np.searchsorted(off, chosen, side="right") - 1
+    cols = chosen - off[rows] + rows + 1
+    return Dag(p, np.column_stack((rows, cols)) + 1)
 
 
 def sfi_rewire(g: Dag, rng: np.random.Generator) -> Dag:

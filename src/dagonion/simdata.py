@@ -87,9 +87,10 @@ def simulate(
             W[j] = params.B[v, pa] @ W[pos[pa]] + W[j]
     if not np.isfinite(W).all():
         raise NumericalError("simulated data overflowed to non-finite values")
-    # One gather into a C-ordered n x p array: column means, and with them
+    # A row gather, then one transposing copy into a C-ordered n x p array
+    # (faster than a column gather): column means, and with them
     # the bench tables, depend on the memory layout in the last bit.
-    X = W.T.take(pos, axis=1)
+    X = np.ascontiguousarray(W[pos].T)
     names = tuple(f"X{j}" for j in range(1, p + 1))
     meta = {
         "n": n,

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from dagonion import Dag, Pdag, RankDeficientDataError, __version__, sample_r2
-from dagonion import cli, graph, metrics
+from dagonion import cli, graph, metrics, workers
 from dagonion.cli import main
 from dagonion.errors import SchemaError
 from dagonion.fileio import read_dataset, read_json
@@ -320,7 +320,7 @@ FAILING_GRID = ("bench", "--reps", 2, "--p-list", 30, "--avg-degree", 29,
 
 def serial_bench(monkeypatch):
     """Run bench replications in this process, where counting patches see them."""
-    monkeypatch.setattr(cli, "_bench_workers", lambda n_tasks: 1)
+    monkeypatch.setattr(workers, "worker_count", lambda n_tasks: 1)
 
 
 class TestBench:
@@ -432,23 +432,23 @@ class TestBench:
     @pytest.mark.parametrize("grid", [GOLDEN_GRID, FAILING_GRID], ids=["seed11", "seed3"])
     def test_same_bytes_for_any_worker_count(self, tmp_path, monkeypatch, grid):
         tables = []
-        for workers in (1, 2, 3):
-            monkeypatch.setattr(cli, "_bench_workers", lambda n_tasks: workers)
-            out = tmp_path / f"r{workers}.csv"
+        for count in (1, 2, 3):
+            monkeypatch.setattr(workers, "worker_count", lambda n_tasks: count)
+            out = tmp_path / f"r{count}.csv"
             assert run(*grid, "--out", out) == 0
             assert mp.active_children() == []
             tables.append(out.read_bytes())
         assert tables[1] == tables[0] and tables[2] == tables[0]
 
     def test_workers_follow_affinity_and_task_count(self):
-        assert cli._bench_workers(1) == 1
-        assert cli._bench_workers(10**6) == len(os.sched_getaffinity(0))
+        assert workers.worker_count(1) == 1
+        assert workers.worker_count(10**6) == len(os.sched_getaffinity(0))
 
     def test_workers_without_sched_getaffinity(self, tmp_path, monkeypatch):
         # Python has no os.sched_getaffinity on macOS; bench counts every CPU there.
         monkeypatch.delattr(os, "sched_getaffinity")
-        assert cli._bench_workers(10**6) == os.cpu_count()
-        assert cli._bench_workers(1) == 1
+        assert workers.worker_count(10**6) == os.cpu_count()
+        assert workers.worker_count(1) == 1
         out = tmp_path / "r.csv"
         assert run("bench", "--reps", 1, "--p-list", 5, "--avg-degree", 2, "--shapes", "er",
                    "--methods", "dao", "--sample-sizes", 100, "--seed", 1, "--out", out) == 0
@@ -482,8 +482,8 @@ class TestBench:
 
         monkeypatch.setattr(cli, "simulate", failing_simulate)
         errs = []
-        for workers in (1, 2):
-            monkeypatch.setattr(cli, "_bench_workers", lambda n_tasks: workers)
+        for count in (1, 2):
+            monkeypatch.setattr(workers, "worker_count", lambda n_tasks: count)
             out = tmp_path / "r.csv"
             assert run(*GOLDEN_GRID, "--out", out) == code
             assert mp.active_children() == []

@@ -1,12 +1,18 @@
+import errno
 import json
+import multiprocessing as mp
 import os
 import stat
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from dagonion import (
     Dag,
+    Dataset,
     Pdag,
     SchemaError,
     dao_sample,
@@ -16,9 +22,11 @@ from dagonion import (
     simulate,
     zarx_params,
 )
+from dagonion import cli, fileio, workers
 from dagonion.fileio import (
     _int_pairs,
     atomic_write_text,
+    dumps_json,
     graph_from_dict,
     graph_to_dict,
     meta_path,
@@ -28,10 +36,11 @@ from dagonion.fileio import (
     pdag_to_dict,
     read_dataset,
     read_json,
+    sha256_file,
     write_dataset,
     write_json,
 )
-from util import loop_int_pairs, sha256_bytes
+from util import loop_int_pairs, loop_write_dataset, sha256_bytes
 
 
 class TestAtomicWrite:
@@ -299,3 +308,143 @@ def test_json_bytes_deterministic(tmp_path):
     write_json(p1, payload)
     write_json(p2, json.loads(p1.read_text()))
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_sha256_file_over_several_blocks(tmp_path):
+    data = np.random.default_rng(0).bytes(2 * (1 << 20) + 123)
+    path = tmp_path / "big.bin"
+    path.write_bytes(data)
+    assert sha256_file(path) == sha256_bytes(data)
+
+
+# Floats whose shortest round-trip text is easy to get wrong.
+_EDGE_FLOATS = (-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 1.0, -3.0, 1e16, 0.1)
+
+
+def _dataset(values: np.ndarray) -> Dataset:
+    p = values.shape[1]
+    return Dataset(values, tuple(f"X{j}" for j in range(1, p + 1)), {"seed": 1})
+
+
+def _assert_oracle_bytes(tmp_path, d: Dataset) -> None:
+    write_dataset(tmp_path / "fast.csv", d)
+    loop_write_dataset(tmp_path / "loop.csv", d)
+    assert mp.active_children() == []
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
+    assert (tmp_path / "fast.meta.json").read_bytes() == (tmp_path / "loop.meta.json").read_bytes()
+
+
+class TestDatasetWriter:
+    # The cutoff is lowered so that small datasets take the chunked,
+    # parallel path too; the fixtures are the same for every example.
+    @settings(max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        hnp.arrays(
+            np.float64,
+            hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=9),
+            elements=st.one_of(
+                st.floats(allow_nan=False, allow_infinity=False),
+                st.sampled_from(_EDGE_FLOATS),
+            ),
+        )
+    )
+    def test_bytes_match_loop_oracle(self, tmp_path, monkeypatch, values):
+        monkeypatch.setattr(fileio, "_PARALLEL_MIN_VALUES", 20)
+        monkeypatch.setattr(fileio, "_CHUNK_VALUES", 7)
+        monkeypatch.setattr(workers, "worker_count", lambda n_tasks: min(2, n_tasks))
+        _assert_oracle_bytes(tmp_path, _dataset(values))
+
+    def test_edge_values_at_one_row_and_one_column(self, tmp_path):
+        for shape in ((1, len(_EDGE_FLOATS)), (len(_EDGE_FLOATS), 1)):
+            _assert_oracle_bytes(tmp_path, _dataset(np.reshape(_EDGE_FLOATS, shape)))
+
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_same_bytes_for_any_worker_count(self, tmp_path, monkeypatch, count):
+        # Above the real cutoff: 700 x 200 values in chunks of 163 rows.
+        monkeypatch.setattr(workers, "worker_count", lambda n_tasks: count)
+        rng = np.random.default_rng(4)
+        values = rng.standard_normal((700, 200)) * np.exp(rng.uniform(-30, 30, 200))
+        assert values.size >= fileio._PARALLEL_MIN_VALUES
+        _assert_oracle_bytes(tmp_path, _dataset(values))
+
+    def test_failed_write_leaves_no_file_and_no_process(self, tmp_path, monkeypatch):
+        class DiskFullOnThirdWrite:
+            def __init__(self, fh):
+                self.fh, self.writes = fh, 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, text):
+                self.writes += 1
+                if self.writes == 3:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return self.fh.write(text)
+
+            def writelines(self, parts):
+                for part in parts:
+                    self.write(part)
+
+        monkeypatch.setattr(fileio, "open", lambda *a, **k: DiskFullOnThirdWrite(open(*a, **k)),
+                            raising=False)
+        monkeypatch.setattr(fileio, "_PARALLEL_MIN_VALUES", 1)
+        monkeypatch.setattr(fileio, "_CHUNK_VALUES", 10)
+        monkeypatch.setattr(workers, "worker_count", lambda n_tasks: 2)
+        d = _dataset(np.random.default_rng(5).standard_normal((100, 10)))
+        with pytest.raises(OSError, match="No space left"):
+            write_dataset(tmp_path / "d.csv", d)
+        assert mp.active_children() == []
+        assert list(tmp_path.iterdir()) == []
+
+
+def _json_trees():
+    numbers = st.one_of(st.integers(), st.floats(), st.sampled_from(_EDGE_FLOATS))
+    texts = st.one_of(st.text(max_size=8), st.sampled_from([", ", "], [", "[[1, 2], [3]]", "\n"]))
+    scalars = st.one_of(st.none(), st.booleans(), numbers, texts)
+    return st.recursive(
+        scalars,
+        lambda kids: st.one_of(
+            st.lists(kids, max_size=4),
+            st.lists(numbers, max_size=5),
+            st.lists(st.lists(numbers, max_size=4), max_size=4),
+            st.lists(st.lists(st.one_of(numbers, st.booleans()), min_size=1, max_size=3),
+                     min_size=1, max_size=3),
+            st.dictionaries(texts, kids, max_size=4),
+            st.dictionaries(st.integers(), kids, min_size=1, max_size=3),
+            st.dictionaries(st.one_of(texts, st.integers()), kids, max_size=3),
+        ),
+        max_leaves=20,
+    )
+
+
+class TestJsonWriter:
+    @given(_json_trees())
+    @example({"a": [{1: [1.5, {"b": None}]}], "c": {"d": {2: {"e": [[1, 2]]}}}})
+    def test_matches_json_dumps(self, obj):
+        assert dumps_json(obj) == json.dumps(obj, indent=2) + "\n"
+
+    def test_pipeline_files_match_json_dumps(self, tmp_path):
+        rng = np.random.default_rng(6)
+        g, order = shuffle_labels(sfi_rewire(er_dag(30, 8, rng), rng), rng)
+        R, params = dao_sample(g, rng)
+        d = simulate(params, "exponential", 50, rng)
+        est = Pdag(4, frozenset({(2, 1)}), frozenset({(3, 4)}))
+        objs = [
+            graph_to_dict(g, order, seed=6, shuffled=True, applied=["er", "sfi"]),
+            model_to_dict(params, R, "dao", 6, order, graph_sha256="ab" * 32),
+            pdag_to_dict(est),
+            pdag_to_dict(Pdag(3, frozenset(), frozenset())),
+            {**d.meta, "names": list(d.names), "order": list(order)},
+        ]
+        graph_path = tmp_path / "g.json"
+        write_json(graph_path, objs[0])
+        manifest = tmp_path / "m.json"
+        assert cli.main(["gen-model", "--graph", str(graph_path), "--method", "zarx",
+                         "--seed", "1", "--out", str(tmp_path / "model.json"),
+                         "--manifest", str(manifest)]) == 0
+        objs += [read_json(manifest), read_json(tmp_path / "model.json")]
+        for obj in objs:
+            assert dumps_json(obj) == json.dumps(obj, indent=2) + "\n"

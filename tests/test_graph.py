@@ -26,6 +26,7 @@ from util import (
     list_walk_source_first,
     parents,
     shuffled_pair_array,
+    triu_er_dag,
 )
 
 
@@ -222,6 +223,16 @@ class TestErDag:
         assert len(counts) == 15
         chi = stats.chisquare(list(counts.values()))
         assert chi.pvalue > 0.001
+
+    def test_matches_triu_indices_oracle(self):
+        # Same edges and the same generator state after the draw, for every
+        # p in 2..60 at sparse, half and complete densities.
+        for p in range(2, 61):
+            for degree in sorted({1.0, (p - 1) / 2, p - 1.0}):
+                for seed in range(3):
+                    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+                    assert er_dag(p, degree, rng) == triu_er_dag(p, degree, ref)
+                    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def _random_consistent_dag(rng, p=30, degree=4.0):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+import json
 from collections import Counter
 from itertools import combinations, product
 
@@ -29,6 +30,7 @@ from dagonion import (
     tetrad_params,
     zarx_params,
 )
+from dagonion.fileio import atomic_write_text, meta_path
 
 
 def all_pairs(p: int) -> list[tuple[int, int]]:
@@ -617,3 +619,26 @@ def loop_int_pairs(raw, where: str) -> list[tuple[int, int]]:
         )
         pairs.append((a, b))
     return pairs
+
+
+def triu_er_dag(p: int, avg_degree: float, rng: np.random.Generator) -> Dag:
+    """``graph.er_dag`` reading the chosen pairs off ``np.triu_indices``, an
+    O(p^2) list of every pair: its oracle."""
+    m = round(avg_degree * p / 2)
+    if m == 0:
+        return Dag(p)
+    rows, cols = np.triu_indices(p, k=1)
+    chosen = rng.choice(p * (p - 1) // 2, size=m, replace=False)
+    return Dag(p, np.column_stack((rows[chosen], cols[chosen])) + 1)
+
+
+def loop_write_dataset(path, d: Dataset) -> None:
+    """``fileio.write_dataset`` with one ``repr(float(x))`` per value, the
+    whole CSV joined in memory and the sidecar from ``json.dumps``: its oracle."""
+    lines = [",".join(d.names)]
+    for row in d.values:
+        lines.append(",".join(repr(float(x)) for x in row))
+    atomic_write_text(path, "\n".join(lines) + "\n")
+    meta = dict(d.meta)
+    meta["names"] = list(d.names)
+    atomic_write_text(meta_path(path), json.dumps(meta, indent=2) + "\n")
