@@ -158,6 +158,23 @@ def _int_pairs(raw, where: str) -> list[tuple[int, int]]:
     return pairs
 
 
+def _pair_array(raw, where: str) -> np.ndarray | list[tuple[int, int]]:
+    """The pairs of a JSON list of two-integer lists: an (m, 2) int64 array
+    when three C-level scans pass and every label fits int64, else the tuples
+    of ``_int_pairs``, whose SchemaError names the first bad item."""
+    if (
+        type(raw) is list
+        and set(map(type, raw)) <= {list}
+        and set(map(len, raw)) <= {2}
+        and set(map(type, chain.from_iterable(raw))) <= {int}  # bool is not int
+    ):
+        try:
+            return np.fromiter(chain.from_iterable(raw), np.int64, 2 * len(raw)).reshape(-1, 2)
+        except OverflowError:
+            pass  # a label past int64, which Dag and Pdag reject by name
+    return _int_pairs(raw, where)
+
+
 def _order_from_dict(d: dict, p: int, where: str) -> tuple[int, ...] | None:
     """The optional ``"order"`` field: None, or a permutation of 1..p."""
     raw = d.get("order")
@@ -186,7 +203,7 @@ def graph_from_dict(d: dict, where: str = "graph") -> tuple[Dag, tuple[int, ...]
     _require("p" in d and "edges" in d, where, 'missing "p" or "edges"')
     p = d["p"]
     _require(_is_int(p) and p >= 1, where, f'bad "p": {p!r}')
-    edges = _int_pairs(d["edges"], where)
+    edges = _pair_array(d["edges"], where)
     order = _order_from_dict(d, p, where)
     try:
         g = Dag(p, edges)
@@ -273,8 +290,8 @@ def pdag_from_dict(d: dict, where: str = "pdag") -> Pdag:
     _require("p" in d, where, 'missing "p"')
     p = d["p"]
     _require(_is_int(p) and p >= 1, where, f'bad "p": {p!r}')
-    directed = _int_pairs(d.get("directed", []), where)
-    undirected = _int_pairs(d.get("undirected", []), where)
+    directed = _pair_array(d.get("directed", []), where)
+    undirected = _pair_array(d.get("undirected", []), where)
     try:
         return Pdag(p, directed, undirected)
     except ValueError as exc:
@@ -319,6 +336,12 @@ def read_dataset(path: str | Path) -> Dataset:
         if not header:
             raise SchemaError(f"{path}: empty file")
         names = tuple(header.split(","))
+        start = fh.tell()
+        while (line := fh.readline()) and not line.strip():
+            pass
+        if not line:  # numpy would warn and return no rows
+            raise SchemaError(f"{path}: no data rows")
+        fh.seek(start)
         try:
             values = np.loadtxt(fh, delimiter=",", ndmin=2)
         except ValueError as exc:

@@ -60,11 +60,20 @@ class Dag:
 
     def parent_map(self) -> dict[int, list[int]]:
         """Sorted parent lists for every vertex: slices of the edge array
-        stably sorted by child, so each slice keeps its ascending parents."""
-        by_child = self._ends[np.argsort(self._ends[:, 1], kind="stable")]
-        lo = np.searchsorted(by_child[:, 1], np.arange(1, self.p + 2)).tolist()
-        pa = by_child[:, 0].tolist()
+        sorted by child, then by parent label."""
+        lo, by_child = _parent_slices(self, np.arange(self.p))
+        pa = (by_child[:, 0] + 1).tolist()
         return {v: pa[lo[v - 1]:lo[v]] for v in range(1, self.p + 1)}
+
+
+def _parent_slices(g: Dag, rank: np.ndarray) -> tuple[list[int], np.ndarray]:
+    """The 0-based (parent, child) rows of ``g``'s edges sorted by child, then
+    by ``rank[parent]``, with ``rank`` distinct over the 0-based vertices, and
+    the offsets ``lo``: the parents of vertex u (0-based) are rows
+    ``lo[u]:lo[u + 1]``, in ascending rank."""
+    ends = g._ends - 1
+    by_child = ends[np.argsort(ends[:, 1] * g.p + rank[ends[:, 0]])]
+    return np.searchsorted(by_child[:, 1], np.arange(g.p + 1)).tolist(), by_child
 
 
 def er_dag(p: int, avg_degree: float, rng: np.random.Generator) -> Dag:
@@ -139,7 +148,9 @@ def _rewire(g: Dag, rng: np.random.Generator, *, forward: bool) -> Dag:
             f"{'sfo' if forward else 'sfi'}_rewire requires every edge to point from "
             f"a smaller to a larger label; offending edge {tuple(bad[0].tolist())}"
         )
-    need = np.bincount(ends[:, 1] if forward else ends[:, 0], minlength=p + 1)
+    need = np.bincount(ends[:, 1] if forward else ends[:, 0], minlength=p + 1).tolist()
+    # One array draw gives the same doubles, in order, as one scalar draw per pick.
+    u = iter(rng.random(len(ends)).tolist())
     deg = np.zeros(p + 1)  # degree gained so far in the rewired graph; slot 0 unused
     edges: list[int] = []  # flat (parent, child) labels
     for i in range(1, p + 1) if forward else range(p, 0, -1):
@@ -149,7 +160,7 @@ def _rewire(g: Dag, rng: np.random.Generator, *, forward: bool) -> Dag:
         w = 1.0 + deg[lo:hi]
         for _ in range(need[i]):
             cum = w.cumsum()
-            k = int(cum.searchsorted(rng.random() * cum[-1], side="right"))
+            k = int(cum.searchsorted(next(u) * cum[-1], side="right"))
             w[k] = 0.0
             j = lo + k
             deg[j] += 1.0

@@ -171,7 +171,8 @@ def _data_factor(d: Dataset) -> np.ndarray:
     RankDeficientDataError when n <= p or some column is constant."""
     if d.n <= d.p:
         raise RankDeficientDataError(f"need more rows than columns, got n={d.n}, p={d.p}")
-    X = d.values - d.values.mean(axis=0)
+    # Fortran order, as LAPACK reads it; the mean is still taken over the data.
+    X = np.subtract(d.values, d.values.mean(axis=0), order="F")
     if not np.all(np.any(X, axis=0)):
         raise RankDeficientDataError("a column has zero sample variance")
     return np.linalg.qr(X, mode="r")

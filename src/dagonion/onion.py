@@ -16,11 +16,13 @@ implied covariance reproduces the matrix exactly.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.linalg import lapack
 
 from .errors import CholeskyFailure, NumericalError
-from .graph import Dag, source_first_order
+from .graph import Dag, _parent_slices, source_first_order
 from .sem import SemParameters
 
 __all__ = ["sample_mpii", "dao_sample"]
@@ -49,7 +51,7 @@ def sample_mpii(k: int, gamma: float, rng: np.random.Generator) -> np.ndarray:
     for _ in range(_MAX_REDRAWS):
         q = rng.beta(k / 2.0, gamma + 0.5)
         y = rng.standard_normal(k)
-        norm = float(np.linalg.norm(y))
+        norm = math.sqrt(y.dot(y))  # np.linalg.norm of a float vector
         if 1.0 - q >= 1e-12 and norm >= 1e-300:
             return np.sqrt(q) * y / norm
     raise NumericalError(
@@ -76,33 +78,41 @@ def dao_sample(
     p = g.p
     order = source_first_order(g)
     walk = np.asarray(order, dtype=np.intp) - 1
-    position = {v: i for i, v in enumerate(order)}
-    parent_map = g.parent_map()
+    position = np.empty(p, dtype=np.intp)
+    position[walk] = np.arange(p)
+    lo, by_child = _parent_slices(g, position)
+    parents = by_child[:, 0]
 
     R = np.eye(p)
-    B = np.zeros((p, p))
+    coef = np.empty(len(parents))  # z of each vertex in its parents' rows
     omega = np.ones(p)
-    for i, v in enumerate(order):
-        if not parent_map[v]:
+    for i, v in enumerate(walk.tolist()):
+        a, b = lo[v], lo[v + 1]
+        if a == b:
             continue  # a source: identity row, no draw
-        pa = np.asarray(sorted(parent_map[v], key=position.__getitem__)) - 1
-        w = sample_mpii(len(pa), (p - i) / 2.0, rng)
+        pa = parents[a:b]
+        w = sample_mpii(b - a, (p - i) / 2.0, rng)
         rows = R[pa]
-        try:
-            L = np.linalg.cholesky(rows[:, pa])
-        except np.linalg.LinAlgError as exc:
-            raise CholeskyFailure(
-                f"parent block of vertex {v} lost positive definiteness"
-            ) from exc
-        # L^T is upper triangular and, as a view of C-ordered L, Fortran-ordered.
-        z, info = lapack.dtrtrs(L.T, w, lower=0)
-        if info != 0:
-            raise CholeskyFailure(f"parent block of vertex {v} has a singular root")
+        if b - a == 1:
+            z = w  # the parent block is [[1.0]], its root 1.0: z = w / 1.0
+        else:
+            try:
+                L = np.linalg.cholesky(rows[:, pa])
+            except np.linalg.LinAlgError as exc:
+                raise CholeskyFailure(
+                    f"parent block of vertex {v + 1} lost positive definiteness"
+                ) from exc
+            # L^T is upper triangular and, as a view of C-ordered L, Fortran-ordered.
+            z, info = lapack.dtrtrs(L.T, w, lower=0)
+            if info != 0:
+                raise CholeskyFailure(f"parent block of vertex {v + 1} has a singular root")
         # Columns of vertices not yet placed are unfilled; keep only prev.
         prev = walk[:i]
         r = (z @ rows)[prev]
-        R[v - 1, prev] = r
-        R[prev, v - 1] = r
-        B[v - 1, pa] = z
-        omega[v - 1] = 1.0 - float(w @ w)
+        R[v, prev] = r
+        R[prev, v] = r
+        coef[a:b] = z
+        omega[v] = 1.0 - float(w @ w)
+    B = np.zeros((p, p))
+    B[by_child[:, 1], parents] = coef
     return R, SemParameters(g, B, omega)

@@ -56,7 +56,8 @@ class SemParameters:
         # NaN-safe: a NaN entry fails every comparison.
         if not (np.all(np.isfinite(B)) and np.all((omega > 0) & (omega < np.inf))):
             raise ValueError("B and omega must be finite, omega strictly positive")
-        if np.any(B[_edge_matrix(self.g, 1.0) == 0.0]):
+        ends = self.g._ends - 1
+        if np.count_nonzero(B) != np.count_nonzero(B[ends[:, 1], ends[:, 0]]):
             raise ValueError("B has a nonzero entry outside the graph's edges")
         object.__setattr__(self, "B", B)
         object.__setattr__(self, "omega", omega)

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError, ZeroVarianceColumnError
-from .graph import source_first_order
+from .graph import _parent_slices, source_first_order
 from .sem import SemParameters
 
 __all__ = ["Dataset", "simulate", "standardize_data"]
@@ -70,9 +70,11 @@ def simulate(
     if n < 1:
         raise ValueError(f"sample size must be at least 1, got {n}")
     p = params.g.p
-    parent_map = params.g.parent_map()
     order = np.asarray(source_first_order(params.g), dtype=np.intp) - 1
     pos = np.argsort(order)  # row of each vertex
+    lo, by_child = _parent_slices(params.g, np.arange(p))
+    coef = params.B[by_child[:, 1], by_child[:, 0]]
+    prow = pos[by_child[:, 0]]  # the row of each parent
     sd = np.sqrt(params.omega[order])[:, None]
     draw = rng.standard_normal if error_kind == "gaussian" else rng.standard_exponential
     W = draw((p, n))
@@ -81,10 +83,12 @@ def simulate(
         # Exponential with scale sqrt(omega), shifted to mean zero: variance
         # stays omega and the skewness of 2 is unaffected by the shift.
         W -= sd
+    sources = p - np.count_nonzero(np.diff(lo))  # the walk's leading rows
     with np.errstate(over="ignore", invalid="ignore"):
-        for j, v in enumerate(order.tolist()):
-            pa = np.asarray(parent_map[v + 1], dtype=np.intp) - 1
-            W[j] = params.B[v, pa] @ W[pos[pa]] + W[j]
+        W[:sources] += 0.0  # as adding their empty parent sum: -0.0 becomes 0.0
+        for j, v in enumerate(order[sources:].tolist(), sources):
+            a, b = lo[v], lo[v + 1]
+            W[j] += coef[a:b] @ W[prow[a:b]]
     if not np.isfinite(W).all():
         raise NumericalError("simulated data overflowed to non-finite values")
     # A row gather, then one transposing copy into a C-ordered n x p array

@@ -4,6 +4,7 @@ import os
 import stat
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -305,6 +306,17 @@ class TestEval:
         out = tmp_path / "report.json"
         assert run("eval", "--true-graph", graph, "--data", data, "--out", out) == 0
         assert -1.0 <= read_json(out)["r2_rank_corr"] <= 1.0
+
+    @pytest.mark.parametrize("rest", ["", "\n", "\n\n \n"])
+    def test_header_only_data_is_one_line_schema_error(self, tmp_path, capsys, rest):
+        graph = gen_graph(tmp_path, p=2, deg=1)
+        data = tmp_path / "h.csv"
+        data.write_text("X1,X2\n" + rest)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("eval", "--true-graph", graph, "--data", data) == 4
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error[io]: {data}: no data rows\n"
 
 
 # The grid of TestBench.test_seed_meaning_matches_golden_table.

@@ -155,6 +155,11 @@ _PAIR_LISTS = [
     ([[1, None]], False),
     ("x", False),
     (None, False),
+    ([[1, 2], [2, 1]], True),  # a cycle, and one pair in both directions
+    ([[2, 1], [1, 2], [1, 2]], True),  # a repeat
+    ([[1, 1]], True),
+    ([[0, 2]], True),
+    ([[-(2**63), 2]], True),
 ]
 
 
@@ -170,6 +175,41 @@ def test_int_pairs_match_loop_oracle(raw, accepted):
     else:
         assert accepted
         assert _int_pairs(raw, "g.json") == want
+
+
+def _loop_read(build, raw) -> object:
+    """What a reader gave when it built ``build`` from ``loop_int_pairs``:
+    the object, or the SchemaError message."""
+    try:
+        return build(loop_int_pairs(raw, "g.json"))
+    except SchemaError as exc:
+        return str(exc)
+    except ValueError as exc:
+        return f"g.json: {exc}"
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("raw,accepted", _PAIR_LISTS, ids=lambda x: repr(x)[:24])
+def test_pair_readers_match_loop_oracle(raw, accepted, p):
+    # Each reader gives the graph built from the loop's tuples, kept arrays
+    # alike, or the same message.
+    readers = [
+        (lambda: graph_from_dict({"p": p, "edges": raw}, "g.json")[0],
+         lambda e: Dag(p, e), ("_ends",)),
+        (lambda: pdag_from_dict({"p": p, "directed": raw}, "g.json"),
+         lambda e: Pdag(p, e), ("_directed_codes", "_undirected_codes")),
+        (lambda: pdag_from_dict({"p": p, "undirected": raw}, "g.json"),
+         lambda e: Pdag(p, (), e), ("_directed_codes", "_undirected_codes")),
+    ]
+    for read, build, kept in readers:
+        want = _loop_read(build, raw)
+        try:
+            got = read()
+        except SchemaError as exc:
+            got = str(exc)
+        assert got == want
+        if not isinstance(want, str):
+            assert all(getattr(got, k).tobytes() == getattr(want, k).tobytes() for k in kept)
 
 
 class TestModelFormat:

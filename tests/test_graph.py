@@ -16,15 +16,18 @@ from dagonion import (
     source_first_order,
 )
 from util import (
+    GRAPH_KINDS,
     append_parent_map,
     children,
     enumerate_dags,
     is_consistent,
     is_source_first,
+    kind_graph,
     list_sfi_rewire,
     list_sfo_rewire,
     list_walk_source_first,
     parents,
+    scalar_draw_rewire,
     shuffled_pair_array,
     triu_er_dag,
 )
@@ -270,10 +273,12 @@ class TestRewiring:
     def test_rejects_label_inconsistent_input(self):
         g = Dag(3, frozenset({(3, 1)}))
         rng = np.random.default_rng(7)
+        before = rng.bit_generator.state
         with pytest.raises(ValueError):
             sfi_rewire(g, rng)
         with pytest.raises(ValueError):
             sfo_rewire(g, rng)
+        assert rng.bit_generator.state == before  # rejected before any draw
 
     def test_sfi_concentrates_in_degree(self):
         rng = np.random.default_rng(8)
@@ -332,6 +337,25 @@ class TestRewireOracle:
         p, degree, seed = case
         g = er_dag(p, degree, np.random.default_rng(seed))
         _assert_matches_oracle(g, seed + 1)
+
+
+class TestScalarDrawOracle:
+    """One array of uniforms gives the rewiring of one scalar draw per pick,
+    edge array bytes and generator state alike."""
+
+    @given(
+        kind=st.sampled_from(GRAPH_KINDS),
+        p=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_same_bytes_and_draws(self, kind, p, seed):
+        g = kind_graph(kind, p, np.random.default_rng(seed))
+        g = Dag(p, np.sort(g._ends, axis=1))  # shuffled kinds back to label order
+        for rewire, forward in ((sfi_rewire, False), (sfo_rewire, True)):
+            fast, slow = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+            h = rewire(g, fast)
+            assert h._ends.tobytes() == scalar_draw_rewire(g, slow, forward=forward)._ends.tobytes()
+            assert fast.bit_generator.state == slow.bit_generator.state
 
 
 class _FixedPermRng:

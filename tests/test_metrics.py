@@ -26,15 +26,19 @@ from dagonion import (
     sortability_rank_corr,
     varsortability_scores,
 )
-from dagonion.metrics import _average_ranks
+from dagonion.metrics import _average_ranks, _data_factor
 from util import (
     DEGENERATE,
+    GRAPH_KINDS,
     all_pairs,
+    assert_same_bytes,
     brute_pair_counts,
+    c_order_data_factor,
     corrcoef_sample_r2,
     degenerate_data,
     enumerate_dags,
     enumerate_pdags,
+    kind_graph,
     lstsq_sample_r2,
     mask_compare_graphs,
     mixed_data,
@@ -412,6 +416,18 @@ class TestSampleR2Oracle:
                 sample_r2(d)
         else:
             assert np.max(np.abs(sample_r2(d) - want)) < 1e-9
+
+
+class TestDataFactorLayout:
+    """Centering into a Fortran-ordered copy gives the R of the C-ordered
+    centered data byte for byte."""
+
+    @pytest.mark.parametrize("kind", GRAPH_KINDS)
+    def test_same_bytes(self, kind):
+        rng = np.random.default_rng(17)
+        for p, n in ((1, 2), (6, 7), (30, 31), (40, 500), (120, 300)):
+            for d in (mixed_data(p, n, rng), model_data("dao", kind_graph(kind, p, rng), n, rng)):
+                assert_same_bytes((_data_factor(d), c_order_data_factor(d)))
 
 
 class TestSortabilityRankCorr:

@@ -17,7 +17,16 @@ from dagonion import (
     shuffle_labels,
     source_first_order,
 )
-from util import full_block_dao_sample, parents, partial_corr, solve_triangular_dao_sample
+from util import (
+    GRAPH_KINDS,
+    assert_same_bytes,
+    full_block_dao_sample,
+    kind_graph,
+    list_dao_sample,
+    parents,
+    partial_corr,
+    solve_triangular_dao_sample,
+)
 
 
 class TestSampleMpii:
@@ -134,22 +143,16 @@ class TestDaoSample:
 
         monkeypatch.setattr(np.linalg, "cholesky", fail)
         with pytest.raises(CholeskyFailure):
-            dao_sample(Dag(2, frozenset({(1, 2)})), np.random.default_rng(11))
+            dao_sample(Dag(3, frozenset({(1, 3), (2, 3)})), np.random.default_rng(11))
 
+    def test_one_parent_skips_factorization(self, monkeypatch):
+        # The parent block [[1.0]] has root 1.0, so z = w without a factorization.
+        def fail(_):
+            raise AssertionError("cholesky called for a one-parent block")
 
-def _graph(kind, p, rng):
-    """A test graph: er, sfi, sfo and shuffled at average degree up to 3;
-    empty; dense at degree 0.7 (p - 1); complete. Dense and complete graphs
-    get shuffled labels, so their walk is not the label order."""
-    if kind == "empty":
-        return Dag(p, frozenset())
-    degree = {"dense": 0.7 * (p - 1), "complete": p - 1}.get(kind, min(3.0, p - 1))
-    g = er_dag(p, degree, rng)
-    if kind in ("sfi", "sfo"):
-        g = (sfi_rewire if kind == "sfi" else sfo_rewire)(g, rng)
-    elif kind in ("shuffled", "dense", "complete"):
-        g, _ = shuffle_labels(g, rng)
-    return g
+        monkeypatch.setattr(np.linalg, "cholesky", fail)
+        R, params = dao_sample(Dag(3, frozenset({(1, 2), (2, 3)})), np.random.default_rng(11))
+        assert params.B[1, 0] == R[0, 1] and 0.0 < params.omega[2] <= 1.0
 
 
 class TestFullBlockOracle:
@@ -160,7 +163,7 @@ class TestFullBlockOracle:
     def test_matches_oracle_and_rng_state(self, kind):
         rng = np.random.default_rng(12)
         for p in (2, 3, 7, 15, 30, 60):
-            g = _graph(kind, p, rng)
+            g = kind_graph(kind, p, rng)
             seed = int(rng.integers(2**32))
             fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
             R, params = dao_sample(g, fast)
@@ -178,7 +181,7 @@ class TestSolveTriangularOracle:
     def test_equal_bit_for_bit(self, kind):
         rng = np.random.default_rng(13)
         for p in (1, 2, 20, 45, 100):
-            g = _graph(kind, p, rng)
+            g = kind_graph(kind, p, rng)
             seed = int(rng.integers(2**32))
             fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
             R, params = dao_sample(g, fast)
@@ -187,6 +190,32 @@ class TestSolveTriangularOracle:
             assert np.array_equal(R, R_o)
             assert np.array_equal(params.B, params_o.B)
             assert np.array_equal(params.omega, params_o.omega)
+
+
+class TestListOracle:
+    """The sampler over sorted edge slices gives the per-vertex list
+    sampler's R, B and omega byte for byte and draws the same numbers."""
+
+    def _check(self, g, seed):
+        fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+        R, params = dao_sample(g, fast)
+        R_o, params_o = list_dao_sample(g, slow)
+        assert_same_bytes((R, R_o), (params.B, params_o.B), (params.omega, params_o.omega))
+        assert fast.bit_generator.state == slow.bit_generator.state
+
+    @settings(max_examples=120)
+    @given(
+        kind=st.sampled_from(GRAPH_KINDS),
+        p=st.integers(1, 30),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_same_bytes_and_draws(self, kind, p, seed):
+        self._check(kind_graph(kind, p, np.random.default_rng(seed)), seed + 1)
+
+    @pytest.mark.parametrize("kind", ["sfi", "dense"])
+    def test_large_graphs(self, kind):
+        rng = np.random.default_rng(14)
+        self._check(kind_graph(kind, 150, rng), 15)
 
 
 class TestDaoProperties:
@@ -198,7 +227,7 @@ class TestDaoProperties:
     )
     def test_invariants(self, kind, p, seed):
         rng = np.random.default_rng(seed)
-        g = _graph(kind, p, rng)
+        g = kind_graph(kind, p, rng)
         R, params = dao_sample(g, rng)
         assert np.array_equal(np.diag(R), np.ones(p))
         assert np.linalg.eigvalsh(R)[0] > 0

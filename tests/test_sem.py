@@ -41,6 +41,22 @@ class TestSemParameters:
         with pytest.raises(ValueError):
             SemParameters(CHAIN2, B, np.ones(2))
 
+    def test_support_check_on_random_graphs(self):
+        # A stray nonzero off the edges is rejected, wherever it sits and
+        # whatever the edge coefficients; a stray -0.0 is zero.
+        rng = np.random.default_rng(16)
+        for _ in range(30):
+            g, _ = shuffle_labels(er_dag(12, 4, rng), rng)
+            B = tetrad_params(g, rng).B
+            off = B == 0.0  # the non-edges
+            B[rng.random(B.shape) < 0.1] = 0.0
+            i, j = rng.choice(np.argwhere(off))
+            B[i, j] = -0.0
+            assert SemParameters(g, B, np.ones(12)).B.tobytes() == B.tobytes()
+            B[i, j] = rng.choice([1e-300, -3.0])
+            with pytest.raises(ValueError):
+                SemParameters(g, B, np.ones(12))
+
     def test_rejects_nonpositive_omega(self):
         with pytest.raises(ValueError):
             SemParameters(CHAIN2, np.zeros((2, 2)), np.array([1.0, 0.0]))

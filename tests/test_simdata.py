@@ -20,7 +20,7 @@ from dagonion import (
     tetrad_params,
     zarx_params,
 )
-from util import column_loop_simulate
+from util import GRAPH_KINDS, assert_same_bytes, column_loop_simulate, kind_graph, row_loop_simulate
 
 
 def _independent_params(p=5):
@@ -154,6 +154,41 @@ class TestColumnLoopOracle:
         rng = np.random.default_rng(seed)
         g, _ = shuffle_labels(er_dag(p, frac * (p - 1), rng), rng)
         _assert_matches_oracle(_params(method, g, rng), kind, n, seed + 1)
+
+
+class TestRowLoopOracle:
+    """The loop over sorted edge slices gives the per-row parent-list loop's
+    data byte for byte and draws the same numbers."""
+
+    @given(
+        graph=st.sampled_from(GRAPH_KINDS),
+        p=st.integers(1, 30),
+        seed=st.integers(0, 2**32 - 1),
+        method=st.sampled_from(["dao", "zarx", "tetrad"]),
+        kind=st.sampled_from(["gaussian", "exponential"]),
+        n=st.integers(1, 60),
+    )
+    def test_same_bytes_and_draws(self, graph, p, seed, method, kind, n):
+        rng = np.random.default_rng(seed)
+        params = _params(method, kind_graph(graph, p, rng), rng)
+        fast, slow = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+        values = simulate(params, kind, n, fast).values
+        assert_same_bytes((values, row_loop_simulate(params, kind, n, slow)))
+        assert fast.bit_generator.state == slow.bit_generator.state
+
+    def test_negative_zero_draws(self):
+        # Every source's -0.0 becomes 0.0, as adding an empty parent sum did.
+        class NegativeZeros:
+            def standard_normal(self, shape):
+                return np.full(shape, -0.0)
+
+        g = Dag(4, frozenset({(1, 3), (2, 3), (3, 4)}))
+        params = SemParameters(g, np.array(
+            [[0, 0, 0, 0], [0, 0, 0, 0], [-0.5, 2.0, 0, 0], [0, 0, -1.0, 0.0]]
+        ), np.ones(4))
+        values = simulate(params, "gaussian", 3, NegativeZeros()).values
+        assert_same_bytes((values, row_loop_simulate(params, "gaussian", 3, NegativeZeros())))
+        assert not np.signbit(values[:, :2]).any()
 
 
 class TestOverflow:

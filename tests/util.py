@@ -10,6 +10,7 @@ from itertools import combinations, product
 
 import numpy as np
 from scipy import linalg, stats
+from scipy.linalg import lapack
 
 from dagonion import (
     CholeskyFailure,
@@ -23,8 +24,12 @@ from dagonion import (
     cov_to_corr,
     cov_to_dag,
     dao_sample,
+    er_dag,
     implied_covariance,
     sample_mpii,
+    sfi_rewire,
+    sfo_rewire,
+    shuffle_labels,
     simulate,
     source_first_order,
     tetrad_params,
@@ -498,10 +503,12 @@ def edge_loop_tetrad_params(g: Dag, rng: np.random.Generator) -> SemParameters:
     return SemParameters(g, B, rng.uniform(1.0, 2.0, size=g.p))
 
 
-def solve_triangular_dao_sample(g: Dag, rng: np.random.Generator):
-    """``dao_sample`` with z = L^-T w from ``scipy.linalg.solve_triangular``:
-    the exact-equality oracle for the sampler, which calls the LAPACK
-    routine dtrtrs directly."""
+def list_dao_sample(g: Dag, rng: np.random.Generator, solve=None):
+    """The sampler with a list of parents per vertex, sorted by walk position,
+    one factorization and one ``solve(L, w)`` for z = L^-T w per non-source
+    vertex, and B filled row by row: the byte-identity oracle for
+    ``dao_sample``, which slices one sorted edge array, skips one-parent
+    factorizations and fills B at once. ``solve`` defaults to LAPACK dtrtrs."""
     p = g.p
     order = source_first_order(g)
     walk = np.asarray(order, dtype=np.intp) - 1
@@ -523,7 +530,12 @@ def solve_triangular_dao_sample(g: Dag, rng: np.random.Generator):
             raise CholeskyFailure(
                 f"parent block of vertex {v} lost positive definiteness"
             ) from exc
-        z = linalg.solve_triangular(L, w, lower=True, trans="T")
+        if solve is None:
+            z, info = lapack.dtrtrs(L.T, w, lower=0)
+            if info != 0:
+                raise CholeskyFailure(f"parent block of vertex {v} has a singular root")
+        else:
+            z = solve(L, w)
         prev = walk[:i]
         r = (z @ rows)[prev]
         R[v - 1, prev] = r
@@ -531,6 +543,96 @@ def solve_triangular_dao_sample(g: Dag, rng: np.random.Generator):
         B[v - 1, pa] = z
         omega[v - 1] = 1.0 - float(w @ w)
     return R, SemParameters(g, B, omega)
+
+
+def solve_triangular_dao_sample(g: Dag, rng: np.random.Generator):
+    """``dao_sample`` with z = L^-T w from ``scipy.linalg.solve_triangular``:
+    the exact-equality oracle for the sampler, which calls the LAPACK
+    routine dtrtrs directly."""
+    return list_dao_sample(
+        g, rng, lambda L, w: linalg.solve_triangular(L, w, lower=True, trans="T")
+    )
+
+
+def row_loop_simulate(
+    params: SemParameters, error_kind: str, n: int, rng: np.random.Generator
+) -> np.ndarray:
+    """``simulate``'s n x p values with one parent list, one coefficient
+    gather and one fresh sum per row, sources included: the byte-identity
+    oracle for ``simulate``, which gathers coefficients and parent rows once
+    and adds 0.0 to every source row at once."""
+    p = params.g.p
+    parent_map = params.g.parent_map()
+    order = np.asarray(source_first_order(params.g), dtype=np.intp) - 1
+    pos = np.argsort(order)
+    sd = np.sqrt(params.omega[order])[:, None]
+    draw = rng.standard_normal if error_kind == "gaussian" else rng.standard_exponential
+    W = draw((p, n))
+    W *= sd
+    if error_kind == "exponential":
+        W -= sd
+    for j, v in enumerate(order.tolist()):
+        pa = np.asarray(parent_map[v + 1], dtype=np.intp) - 1
+        W[j] = params.B[v, pa] @ W[pos[pa]] + W[j]
+    return np.ascontiguousarray(W[pos].T)
+
+
+def scalar_draw_rewire(g: Dag, rng: np.random.Generator, *, forward: bool) -> Dag:
+    """``sfo_rewire`` (``forward``) or ``sfi_rewire`` with one scalar uniform
+    draw per pick: the byte-identity oracle for the rewiring, which draws
+    every uniform at once."""
+    p = g.p
+    ends = g._ends
+    need = np.bincount(ends[:, 1] if forward else ends[:, 0], minlength=p + 1)
+    deg = np.zeros(p + 1)
+    edges: list[int] = []
+    for i in range(1, p + 1) if forward else range(p, 0, -1):
+        if need[i] == 0:
+            continue
+        lo, hi = (1, i) if forward else (i + 1, p + 1)
+        w = 1.0 + deg[lo:hi]
+        for _ in range(need[i]):
+            cum = w.cumsum()
+            k = int(cum.searchsorted(rng.random() * cum[-1], side="right"))
+            w[k] = 0.0
+            j = lo + k
+            deg[j] += 1.0
+            edges.extend((j, i) if forward else (i, j))
+    return Dag(p, np.array(edges, np.int64).reshape(-1, 2))
+
+
+def c_order_data_factor(d: Dataset) -> np.ndarray:
+    """The R of the C-ordered centered data: the byte-identity oracle for
+    ``metrics._data_factor``, which centers into a Fortran-ordered copy."""
+    return np.linalg.qr(d.values - d.values.mean(axis=0), mode="r")
+
+
+def assert_same_bytes(*pairs) -> None:
+    """Each pair of arrays has one dtype, shape and byte string; unlike
+    ``np.array_equal``, this tells -0.0 from 0.0."""
+    for a, b in pairs:
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+GRAPH_KINDS = ("er", "sfi", "sfo", "sf-both", "shuffled", "empty", "dense", "complete")
+
+
+def kind_graph(kind: str, p: int, rng: np.random.Generator) -> Dag:
+    """A graph of one of ``GRAPH_KINDS``: er, its sfi, sfo and sfi-then-sfo
+    rewirings and a shuffled relabeling at average degree up to 3; empty;
+    shuffled dense at degree 0.7 (p - 1); shuffled complete."""
+    if kind == "empty":
+        return Dag(p)
+    degree = {"dense": 0.7 * (p - 1), "complete": p - 1}.get(kind, min(3.0, p - 1))
+    g = er_dag(p, degree, rng)
+    if kind in ("sfi", "sf-both"):
+        g = sfi_rewire(g, rng)
+    if kind in ("sfo", "sf-both"):
+        g = sfo_rewire(g, rng)
+    if kind in ("shuffled", "dense", "complete"):
+        g, _ = shuffle_labels(g, rng)
+    return g
 
 
 def scipy_sortability_rank_corr(scores, causal_index, *, largest_first: bool = False) -> float:
