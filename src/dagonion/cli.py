@@ -292,11 +292,17 @@ def _bench_row(results: list[list[float] | None]) -> list:
 def _run_reps(tasks: list[tuple]) -> list[list[float] | None]:
     """``_bench_rep`` over ``tasks``, results in task order. Each replication
     has its own random stream, so the results do not depend on which process
-    runs it."""
+    runs it, or when."""
+    # Largest n * p^2 first (stable), so that a grid does not end with one
+    # worker on a large cell while the others wait.
+    order = sorted(range(len(tasks)), key=lambda i: -tasks[i][3] * tasks[i][0] ** 2)
+    results: list = [None] * len(tasks)
     # Chunks of 1, 2, 4 and 9 replications measured within noise of each
     # other on a 36-replication grid; on a 300-replication grid 1 was slowest.
-    with ordered_map(_bench_rep, tasks, chunksize=2) as results:
-        return list(results)
+    with ordered_map(_bench_rep, [tasks[i] for i in order], chunksize=2) as done:
+        for i, result in zip(order, done):
+            results[i] = result
+    return results
 
 
 def _parse_list(text: str, kind, what: str) -> list:

@@ -143,25 +143,11 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _int_pairs(raw, where: str) -> list[tuple[int, int]]:
-    """The ``(a, b)`` tuples of a JSON list of two-integer lists, checked in
-    one pass; the SchemaError names the first item that is not one."""
-    _require(isinstance(raw, list), where, "expected a list of pairs")
-    pairs = []
-    for item in raw:
-        if not (isinstance(item, list) and len(item) == 2):
-            raise SchemaError(f"{where}: bad pair {item!r}")
-        a, b = item
-        if not (_is_int(a) and _is_int(b)):
-            raise SchemaError(f"{where}: pair entries must be integers, got {item!r}")
-        pairs.append((a, b))
-    return pairs
-
-
 def _pair_array(raw, where: str) -> np.ndarray | list[tuple[int, int]]:
-    """The pairs of a JSON list of two-integer lists: an (m, 2) int64 array
-    when three C-level scans pass and every label fits int64, else the tuples
-    of ``_int_pairs``, whose SchemaError names the first bad item."""
+    """The pairs of a JSON list of two-integer lists: an (m, 2) int64 array,
+    or ``(a, b)`` tuples when a label does not fit int64. Three C-level scans
+    check the list; only when they fail does a loop run, so that the
+    SchemaError names the first bad item."""
     if (
         type(raw) is list
         and set(map(type, raw)) <= {list}
@@ -172,7 +158,15 @@ def _pair_array(raw, where: str) -> np.ndarray | list[tuple[int, int]]:
             return np.fromiter(chain.from_iterable(raw), np.int64, 2 * len(raw)).reshape(-1, 2)
         except OverflowError:
             pass  # a label past int64, which Dag and Pdag reject by name
-    return _int_pairs(raw, where)
+    else:
+        _require(isinstance(raw, list), where, "expected a list of pairs")
+        for item in raw:
+            if not (isinstance(item, list) and len(item) == 2):
+                raise SchemaError(f"{where}: bad pair {item!r}")
+            if not (_is_int(item[0]) and _is_int(item[1])):
+                raise SchemaError(f"{where}: pair entries must be integers, got {item!r}")
+        # Only subclasses of list or int get here.
+    return [tuple(item) for item in raw]
 
 
 def _order_from_dict(d: dict, p: int, where: str) -> tuple[int, ...] | None:

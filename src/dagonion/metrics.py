@@ -171,11 +171,25 @@ def _data_factor(d: Dataset) -> np.ndarray:
     RankDeficientDataError when n <= p or some column is constant."""
     if d.n <= d.p:
         raise RankDeficientDataError(f"need more rows than columns, got n={d.n}, p={d.p}")
-    # Fortran order, as LAPACK reads it; the mean is still taken over the data.
-    X = np.subtract(d.values, d.values.mean(axis=0), order="F")
-    if not np.all(np.any(X, axis=0)):
+    # Exact: the rounded mean of a constant column can differ from its value.
+    if (d.values == d.values[0]).all(axis=0).any():
         raise RankDeficientDataError("a column has zero sample variance")
-    return np.linalg.qr(X, mode="r")
+    # Fortran order, as LAPACK reads it; the mean is still taken over the data.
+    return _qr_r_inplace(np.subtract(d.values, d.values.mean(axis=0), order="F"))
+
+
+def _qr_r_inplace(X: np.ndarray) -> np.ndarray:
+    """``np.linalg.qr(X, mode="r")`` for a Fortran-ordered n x p X, n >= p,
+    factored in place, so X is overwritten. Its bytes equal numpy's as long
+    as numpy's and scipy's LAPACK builds compute alike; their bundled
+    OpenBLAS builds do on one BLAS thread."""
+    n, p = X.shape
+    # The default workspace is LAPACK's minimum, which runs unblocked.
+    lwork, _ = lapack.dgeqrf_lwork(n, p)
+    qr, _, _, info = lapack.dgeqrf(X, lwork=int(lwork), overwrite_a=1)
+    if info != 0:
+        raise ValueError(f"dgeqrf failed with info={info}")
+    return np.triu(qr[:p])
 
 
 def _require_pivots(pivots: np.ndarray, n: int, what: str) -> None:

@@ -113,10 +113,12 @@ def standardize_data(d: Dataset) -> Dataset:
     """
     mean = d.values.mean(axis=0)
     sd = d.values.std(axis=0, ddof=1) if d.n > 1 else np.zeros(d.p)
-    if np.any(sd == 0):
-        bad = int(np.flatnonzero(sd == 0)[0])
+    # Exact: the rounded mean of a constant column can differ from its
+    # value, which leaves a tiny nonzero SD.
+    zero = (d.values == d.values[0]).all(axis=0) | (sd == 0)
+    if zero.any():
         raise ZeroVarianceColumnError(
-            f"column {d.names[bad]} has zero sample variance"
+            f"column {d.names[int(np.argmax(zero))]} has zero sample variance"
         )
     meta = dict(d.meta)
     meta["standardized"] = True

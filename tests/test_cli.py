@@ -452,6 +452,46 @@ class TestBench:
             tables.append(out.read_bytes())
         assert tables[1] == tables[0] and tables[2] == tables[0]
 
+    @pytest.mark.parametrize("p_list", ["6,12,9", "12,9,6"])
+    def test_largest_first_dispatch_keeps_bytes(self, tmp_path, monkeypatch, p_list):
+        # Tasks go out by descending n * p^2, on two workers, against the
+        # plain serial map in task order.
+        argv = ("bench", "--reps", 3, "--p-list", p_list, "--avg-degree", 3,
+                "--shapes", "er,sfo", "--methods", "dao,tetrad-std",
+                "--sample-sizes", "40,100", "--seed", 8)
+        monkeypatch.setattr(workers, "worker_count", lambda n_tasks: 2)
+        assert run(*argv, "--out", tmp_path / "two.csv") == 0
+        assert mp.active_children() == []
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_run_reps", lambda tasks: list(map(cli._bench_rep, tasks)))
+            assert run(*argv, "--out", tmp_path / "serial.csv") == 0
+        assert (tmp_path / "two.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
+
+    def test_worker_memory_setting_runs_in_workers_only(self, tmp_path, monkeypatch):
+        log = tmp_path / "pids"
+
+        def record_pid():
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+
+        monkeypatch.setattr(workers, "_keep_freed_memory", record_pid)
+        for count in (1, 2):
+            monkeypatch.setattr(workers, "worker_count", lambda n_tasks: count)
+            with workers.ordered_map(abs, list(range(-8, 0))) as results:
+                assert list(results) == list(range(8, 0, -1))
+            pids = log.read_text().split() if log.exists() else []
+            # Once in each worker, never in this process or a serial map.
+            assert len(pids) == len(set(pids)) == (0 if count == 1 else 2)
+            assert str(os.getpid()) not in pids
+
+    def test_worker_memory_setting_without_mallopt(self, monkeypatch):
+        class NoMallopt:  # a C library without mallopt, as on macOS
+            def __init__(self, name):
+                pass
+
+        monkeypatch.setattr(workers.ctypes, "CDLL", NoMallopt)
+        assert workers._keep_freed_memory() is None
+
     def test_workers_follow_affinity_and_task_count(self):
         assert workers.worker_count(1) == 1
         assert workers.worker_count(10**6) == len(os.sched_getaffinity(0))
@@ -524,19 +564,19 @@ class TestBench:
     def test_one_data_factorization_per_replication(self, tmp_path, monkeypatch):
         factored = []
         tall_qr = []
-        data_factor, qr = cli._data_factor, np.linalg.qr
+        data_factor, qr = cli._data_factor, metrics._qr_r_inplace
 
         def counting_data_factor(d):
             factored.append(d)
             return data_factor(d)
 
-        def counting_qr(a, *args, **kwargs):
+        def counting_qr(a):
             if a.shape[0] > a.shape[1]:
                 tall_qr.append(a.shape)
-            return qr(a, *args, **kwargs)
+            return qr(a)
 
         monkeypatch.setattr(cli, "_data_factor", counting_data_factor)
-        monkeypatch.setattr(np.linalg, "qr", counting_qr)
+        monkeypatch.setattr(metrics, "_qr_r_inplace", counting_qr)
         serial_bench(monkeypatch)
         out = tmp_path / "r.csv"
         assert run("bench", "--reps", 3, "--p-list", "5,8", "--avg-degree", 2,

@@ -1,5 +1,9 @@
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +19,7 @@ from dagonion import (
     Pdag,
     RankDeficientDataError,
     SingularMatrixError,
+    ZeroVarianceColumnError,
     compare_graphs,
     dao_sample,
     er_dag,
@@ -24,9 +29,10 @@ from dagonion import (
     shuffle_labels,
     simulate,
     sortability_rank_corr,
+    standardize_data,
     varsortability_scores,
 )
-from dagonion.metrics import _average_ranks, _data_factor
+from dagonion.metrics import _average_ranks, _data_factor, _qr_r_inplace
 from util import (
     DEGENERATE,
     GRAPH_KINDS,
@@ -428,6 +434,66 @@ class TestDataFactorLayout:
         for p, n in ((1, 2), (6, 7), (30, 31), (40, 500), (120, 300)):
             for d in (mixed_data(p, n, rng), model_data("dao", kind_graph(kind, p, rng), n, rng)):
                 assert_same_bytes((_data_factor(d), c_order_data_factor(d)))
+
+
+# numpy's and scipy's bundled OpenBLAS builds give the same bytes on one
+# BLAS thread; threaded, they split large products differently, so the
+# large shapes are checked in a process pinned to one thread.
+_QR_BYTES_CHECK = """
+import sys
+import numpy as np
+from dagonion.metrics import _qr_r_inplace
+for n, p in [(2, 1), (61, 60), (1000, 100), (1000, 800)]:
+    X = np.asfortranarray(np.random.default_rng(n + p).standard_normal((n, p)))
+    want = np.linalg.qr(X, mode="r")
+    got = _qr_r_inplace(X)
+    sys.stdout.write(f"{n}x{p}:{got.shape == want.shape and got.tobytes() == want.tobytes()} ")
+"""
+
+
+class TestQrInPlace:
+    """The in-place LAPACK QR gives np.linalg.qr's R byte for byte."""
+
+    def test_same_bytes_on_one_blas_thread(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        threads = {v: "1" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+        proc = subprocess.run(
+            [sys.executable, "-c", _QR_BYTES_CHECK], capture_output=True, text=True,
+            env={**os.environ, **threads, "PYTHONPATH": str(src)}, check=True,
+        )
+        assert proc.stdout.split() == [
+            "2x1:True", "61x60:True", "1000x100:True", "1000x800:True"
+        ]
+
+    @settings(max_examples=60)
+    @given(
+        p=st.integers(1, 40),
+        extra=st.integers(0, 120),
+        seed=st.integers(0, 2**32 - 1),
+        scaled=st.booleans(),
+    )
+    def test_property_same_bytes(self, p, extra, seed, scaled):
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((p + extra, p))
+        if scaled:
+            X *= 10.0 ** rng.integers(-150, 150, p)
+        want = np.linalg.qr(X, mode="r")
+        assert_same_bytes((_qr_r_inplace(np.asfortranarray(X)), want))
+
+
+class TestConstantColumns:
+    """A constant column whose rounded mean differs from its value leaves a
+    tiny nonzero sample SD; it is still a constant column."""
+
+    @pytest.mark.parametrize("value,n", [(0.1, 3), (0.7, 7), (2.2, 11)])
+    def test_rejected_by_message(self, value, n):
+        vals = np.column_stack([np.arange(n, dtype=float), np.full(n, value)])
+        d = Dataset(vals, ("X1", "X2"))
+        assert d.values[:, 1].std(ddof=1) > 0  # the case this guards
+        with pytest.raises(RankDeficientDataError, match="^a column has zero sample variance$"):
+            sample_r2(d)
+        with pytest.raises(ZeroVarianceColumnError, match="^column X2 has zero sample variance$"):
+            standardize_data(d)
 
 
 class TestSortabilityRankCorr:

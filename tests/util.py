@@ -159,8 +159,8 @@ def _require_full_rank_shape(d: Dataset) -> None:
         raise RankDeficientDataError(
             f"need more rows than columns, got n={d.n}, p={d.p}"
         )
-    sd = d.values.std(axis=0, ddof=1)
-    if np.any(sd == 0):
+    # Exact, as max == min: a constant column can have a tiny nonzero SD.
+    if np.any(np.ptp(d.values, axis=0) == 0):
         raise RankDeficientDataError("a column has zero sample variance")
 
 
@@ -703,7 +703,8 @@ def append_parent_map(g: Dag) -> dict[int, list[int]]:
 
 
 def loop_int_pairs(raw, where: str) -> list[tuple[int, int]]:
-    """``fileio._int_pairs`` with one check call per pair: its oracle."""
+    """The pairs of ``fileio._pair_array`` as tuples, from one check call
+    per pair: its oracle."""
 
     def require(cond: bool, msg: str) -> None:
         if not cond:
