@@ -21,7 +21,6 @@ max(n, p) times the largest, the cutoff of least squares' default ``rcond``.
 from __future__ import annotations
 
 import numpy as np
-from scipy import linalg
 
 from .metrics import (
     Pdag, _data_factor, _require_pivots, _sample_r2_from_factor, varsortability_scores
@@ -53,6 +52,8 @@ def _sort_regress_from_factor(
     d: Dataset, R: np.ndarray, scores: np.ndarray, threshold: float
 ) -> Pdag:
     """sort_regress from the data factor R of ``_data_factor(d)``."""
+    from scipy.linalg import solve_triangular
+
     # Stable sort: equal scores keep their original column order.
     order = np.argsort(scores, kind="stable")
     S = np.linalg.qr(R[:, order], mode="r")
@@ -60,7 +61,7 @@ def _sort_regress_from_factor(
     _require_pivots(np.abs(np.diag(S))[:-1], d.n, "predecessor")
     # coef[j, k] is the coefficient of sorted column j (< k) in the fit of k;
     # entries with j >= k are exactly zero.
-    coef = linalg.solve_triangular(S[:-1, :-1], np.triu(S, 1)[:-1])
+    coef = solve_triangular(S[:-1, :-1], np.triu(S, 1)[:-1])
     src, dst = np.nonzero(np.abs(coef) > threshold)
     return Pdag(d.p, np.column_stack((order[src], order[dst])) + 1)
 

@@ -293,6 +293,8 @@ def _run_reps(tasks: list[tuple]) -> list[list[float] | None]:
     """``_bench_rep`` over ``tasks``, results in task order. Each replication
     has its own random stream, so the results do not depend on which process
     runs it, or when."""
+    import scipy.linalg  # loaded once here, not again in every forked worker
+
     # Largest n * p^2 first (stable), so that a grid does not end with one
     # worker on a large cell while the others wait.
     order = sorted(range(len(tasks)), key=lambda i: -tasks[i][3] * tasks[i][0] ** 2)

@@ -310,9 +310,24 @@ def _csv_rows(block: np.ndarray) -> str:
     return "".join(",".join(map(repr, row)) + "\n" for row in block.tolist())
 
 
+def _require_csv_names(names: tuple) -> None:
+    """Raise ValueError for a column name that ``read_dataset`` would not
+    read back: it splits the header line on commas and strips it."""
+    for j, name in enumerate(names, 1):
+        if not isinstance(name, str):
+            raise ValueError(f"column {j} name {name!r} is not a string")
+        if "," in name or "\r" in name or "\n" in name or name != name.strip():
+            raise ValueError(
+                f"column {j} name {name!r} has a comma, a line break or outer whitespace"
+            )
+
+
 def write_dataset(path: str | Path, d: Dataset) -> None:
     """Write the CSV and its metadata sidecar. Each chunk of rows is written
-    as it is formatted, so a large dataset's CSV text is never held whole."""
+    as it is formatted, so a large dataset's CSV text is never held whole.
+    Raises ValueError, before any file is made, for a column name that
+    ``read_dataset`` would not read back."""
+    _require_csv_names(d.names)
     values = d.values
     rows = d.n if values.size < _PARALLEL_MIN_VALUES else max(1, _CHUNK_VALUES // d.p)
     chunks = [values[i:i + rows] for i in range(0, d.n, rows)]

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .errors import RankDeficientDataError, SingularMatrixError
 from .graph import Dag, _codes, _edge_array, _sorted_pairs
@@ -161,6 +160,8 @@ def population_r2(R: np.ndarray) -> np.ndarray:
 def _r2_from_factor(gram_diag: np.ndarray, U: np.ndarray) -> np.ndarray:
     """1 - 1/(G_ii (G^-1)_ii) for G = U^T U, U upper triangular: (G^-1)_ii is
     the squared norm of row i of U^-1, so one triangular inversion serves."""
+    from scipy.linalg import lapack
+
     Uinv, _ = lapack.dtrtri(U, lower=0)
     return 1.0 - 1.0 / (gram_diag * np.einsum("ij,ij->i", Uinv, Uinv))
 
@@ -183,6 +184,8 @@ def _qr_r_inplace(X: np.ndarray) -> np.ndarray:
     factored in place, so X is overwritten. Its bytes equal numpy's as long
     as numpy's and scipy's LAPACK builds compute alike; their bundled
     OpenBLAS builds do on one BLAS thread."""
+    from scipy.linalg import lapack
+
     n, p = X.shape
     # The default workspace is LAPACK's minimum, which runs unblocked.
     lwork, _ = lapack.dgeqrf_lwork(n, p)

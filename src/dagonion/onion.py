@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .errors import CholeskyFailure, NumericalError
 from .graph import Dag, _parent_slices, source_first_order
@@ -75,6 +74,8 @@ def dao_sample(
     Raises CholeskyFailure if a parent block loses positive definiteness
     numerically.
     """
+    from scipy.linalg import lapack
+
     p = g.p
     order = source_first_order(g)
     walk = np.asarray(order, dtype=np.intp) - 1

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg
 
 from .errors import NonPositiveVarianceError, SingularMatrixError, SingularParentBlockError
 from .graph import Dag, source_first_order
@@ -97,10 +96,12 @@ def implied_covariance(params: SemParameters) -> np.ndarray:
     Computed by a triangular solve in a consistent vertex order (where I - B
     is unit lower triangular), then mapped back to the original labels.
     """
+    from scipy.linalg import solve_triangular
+
     p = params.g.p
     order = np.asarray(source_first_order(params.g), dtype=np.intp) - 1
     Bp = params.B[np.ix_(order, order)]
-    A = linalg.solve_triangular(
+    A = solve_triangular(
         np.eye(p) - Bp, np.eye(p), lower=True, unit_diagonal=True
     )
     S = (A * params.omega[order]) @ A.T
@@ -135,6 +136,8 @@ def cov_to_dag(g: Dag, sigma: np.ndarray) -> SemParameters:
     (failed factorization, condition number above 1e12, or a nonpositive
     conditional variance) raise SingularParentBlockError.
     """
+    from scipy.linalg import LinAlgError, cho_factor, cho_solve
+
     sigma = np.asarray(sigma, dtype=float)
     p = g.p
     if sigma.shape != (p, p):
@@ -154,13 +157,13 @@ def cov_to_dag(g: Dag, sigma: np.ndarray) -> SemParameters:
                 f"parent block of vertex {i} is numerically singular"
             )
         try:
-            factor = linalg.cho_factor(Sjj, lower=True)
-        except linalg.LinAlgError as exc:
+            factor = cho_factor(Sjj, lower=True)
+        except LinAlgError as exc:
             raise SingularParentBlockError(
                 f"parent block of vertex {i} is not positive definite"
             ) from exc
         sji = sigma[J0, i0]
-        b = linalg.cho_solve(factor, sji)
+        b = cho_solve(factor, sji)
         w = sigma[i0, i0] - b @ sji
         if w <= 0:
             raise SingularParentBlockError(

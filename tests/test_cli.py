@@ -828,18 +828,126 @@ class TestEnvAndMisc:
         assert run("frobnicate") == 2
 
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def fresh_python(code: str, cwd: Path | None = None) -> str:
+    """Run ``code`` in a new interpreter that imports dagonion from src/ and
+    return the last line it prints. The suite imports scipy itself, so only
+    such a process shows what dagonion loads."""
+    env = {k: v for k, v in os.environ.items() if k != "DAGONION_OUT_DIR"}
+    env["PYTHONPATH"] = str(SRC)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, cwd=cwd, check=True)
+    return proc.stdout.splitlines()[-1]
+
+
+# Every loaded scipy module, and the loaded scipy subpackages.
+SCIPY_MODULES = "sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))"
+SCIPY_SUBPACKAGES = (
+    "sorted(m for m in sys.modules if m.startswith('scipy.') and m.count('.') == 1"
+    " and hasattr(sys.modules[m], '__path__'))"
+)
+
+
 class TestImportFootprint:
-    def test_imports_no_scipy_subpackage_but_linalg(self):
-        # The suite imports scipy.stats itself, so a fresh interpreter
-        # imports the package. scipy._lib is scipy's private support package.
+    def test_no_scipy_until_the_first_lapack_call(self):
+        # scipy._lib is scipy's private support package.
         code = (
-            "import dagonion, dagonion.cli, sys; print(*sorted("
-            "m for m in sys.modules if m.startswith('scipy.') and m.count('.') == 1"
-            " and hasattr(sys.modules[m], '__path__')))"
+            "import json, sys\n"
+            "import numpy as np\n"
+            "import dagonion, dagonion.cli\n"
+            f"before = {SCIPY_MODULES}\n"
+            "x = np.random.default_rng(0).standard_normal((20, 3))\n"
+            "dagonion.sample_r2(dagonion.Dataset(x, ('a', 'b', 'c')))\n"
+            f"print(json.dumps([before, {SCIPY_SUBPACKAGES}]))"
         )
-        src = Path(__file__).resolve().parents[1] / "src"
-        proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True,
-            env={**os.environ, "PYTHONPATH": str(src)}, check=True,
+        before, after = json.loads(fresh_python(code))
+        assert before == []
+        assert after == ["scipy._lib", "scipy.linalg"]
+
+    @pytest.fixture
+    def inputs(self, tmp_path, monkeypatch):
+        """A graph, a zarx model, a dataset with its simulate manifest and an
+        estimate, written by this process; the command under test runs in a
+        fresh one."""
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("DAGONION_OUT_DIR", raising=False)
+        assert run("gen-dag", "--p", 8, "--avg-degree", 3, "--seed", 1, "--out", "g.json") == 0
+        assert run("gen-model", "--graph", "g.json", "--method", "zarx", "--seed", 2,
+                   "--out", "m.json") == 0
+        assert run("simulate", "--model", "m.json", "--n", 50, "--seed", 3,
+                   "--out", "d.csv", "--manifest", "sim.json") == 0
+        (tmp_path / "est.json").write_text(json.dumps({"p": 8, "directed": [[1, 2]],
+                                                       "undirected": []}))
+        return tmp_path
+
+    @pytest.mark.parametrize(
+        "argv,loads_scipy",
+        [
+            (["gen-dag", "--p", "8", "--avg-degree", "3", "--seed", "4", "--out", "g2.json"],
+             False),
+            (["simulate", "--model", "m.json", "--n", "50", "--error", "exponential",
+              "--seed", "5", "--out", "d2.csv"], False),
+            (["eval", "--true-graph", "g.json", "--est-graph", "est.json", "--out", "r.json"],
+             False),
+            (["replay", "--manifest", "sim.json"], False),
+            (["gen-model", "--graph", "g.json", "--method", "dao", "--seed", "6",
+              "--out", "m2.json"], True),
+            (["gen-model", "--graph", "g.json", "--method", "zarx", "--seed", "6",
+              "--out", "m2.json"], True),
+            (["eval", "--true-graph", "g.json", "--data", "d.csv", "--out", "r.json"], True),
+            (["bench", "--reps", "2", "--p-list", "5", "--avg-degree", "2", "--shapes", "er",
+              "--methods", "dao", "--sample-sizes", "40", "--seed", "7", "--out", "b.csv"],
+             True),
+        ],
+        ids=["gen-dag", "simulate", "eval", "replay-simulate", "gen-model-dao",
+             "gen-model-zarx", "eval-data", "bench"],
+    )
+    def test_commands_load_scipy_only_for_lapack(self, inputs, argv, loads_scipy):
+        code = (
+            "import json, sys\n"
+            "from dagonion.cli import main\n"
+            f"code = main({argv!r})\n"
+            f"print(json.dumps([code, {SCIPY_MODULES} != []]))"
         )
-        assert proc.stdout.split() == ["scipy._lib", "scipy.linalg"]
+        assert json.loads(fresh_python(code, cwd=inputs)) == [0, loads_scipy]
+
+    def test_bench_loads_scipy_before_it_forks(self, tmp_path):
+        # Loaded in the calling process, scipy is imported once, not once in
+        # every forked worker.
+        code = (
+            "import json, sys\n"
+            "from dagonion import cli, workers\n"
+            "workers.worker_count = lambda n_tasks: min(2, n_tasks)\n"
+            "seen = []\n"
+            "real_map = cli.ordered_map\n"
+            "def recording_map(*args, **kwargs):\n"
+            "    seen.append('scipy.linalg' in sys.modules)\n"
+            "    return real_map(*args, **kwargs)\n"
+            "cli.ordered_map = recording_map\n"
+            "code = cli.main(['bench', '--reps', '2', '--p-list', '6', '--avg-degree', '2',\n"
+            "                 '--shapes', 'er', '--methods', 'dao,zarx', '--sample-sizes', '40',\n"
+            "                 '--seed', '8', '--out', 'b.csv'])\n"
+            "print(json.dumps([code, seen]))"
+        )
+        assert json.loads(fresh_python(code, cwd=tmp_path)) == [0, [True]]
+
+    def test_forked_workers_load_scipy_themselves(self):
+        # The parent never loads scipy; each worker loads it on its first
+        # sample_r2, and the results equal the serial map's byte for byte.
+        code = (
+            "import json, sys\n"
+            "import numpy as np\n"
+            "from dagonion import Dataset, sample_r2, workers\n"
+            "workers.worker_count = lambda n_tasks: min(2, n_tasks)\n"
+            "rng = np.random.default_rng(9)\n"
+            "datasets = [Dataset(rng.standard_normal((40, 4)), ('a', 'b', 'c', 'd'))\n"
+            "            for _ in range(6)]\n"
+            "with workers.ordered_map(sample_r2, datasets) as done:\n"
+            "    forked = [r.tobytes() for r in done]\n"
+            f"parent = {SCIPY_MODULES}\n"
+            "serial = [sample_r2(d).tobytes() for d in datasets]\n"
+            "print(json.dumps([parent, forked == serial]))"
+        )
+        assert json.loads(fresh_python(code)) == [[], True]

@@ -338,6 +338,33 @@ class TestDatasetFormat:
         assert d.values.shape == (2, 1)
         assert d.names == ("only",)
 
+    def test_names_with_inner_spaces_and_quotes_round_trip(self, tmp_path):
+        d = Dataset(np.array([[1.0, 2.0, 3.0]]), ("a b", '"q"', "x;y"))
+        write_dataset(tmp_path / "d.csv", d)
+        assert read_dataset(tmp_path / "d.csv").names == d.names
+
+    @pytest.mark.parametrize(
+        "names,message",
+        [
+            (("a,b", "c"), "column 1 name 'a,b' has a comma"),
+            (("a", "b\nc"), r"column 2 name 'b\\nc' has a comma, a line break"),
+            (("a\rb", "c"), r"column 1 name 'a\\rb' has a comma, a line break"),
+            ((" a", "b"), "column 1 name ' a' has .* outer whitespace"),
+            (("a", "b "), "column 2 name 'b ' has .* outer whitespace"),
+            (("a", "\tb"), r"column 2 name '\\tb' has .* outer whitespace"),
+            (("a", 2), "column 2 name 2 is not a string"),
+        ],
+        ids=["comma", "newline", "carriage-return", "leading-space", "trailing-space",
+             "leading-tab", "not-a-string"],
+    )
+    def test_unreadable_names_refused_before_any_file(self, tmp_path, names, message):
+        # read_dataset splits the header on commas and strips it, so these
+        # names would not come back.
+        d = Dataset(np.array([[1.0, 2.0]]), names)
+        with pytest.raises(ValueError, match=message):
+            write_dataset(tmp_path / "d.csv", d)
+        assert list(tmp_path.iterdir()) == []
+
 
 def test_sha256_stable():
     assert sha256_bytes(b"abc") == (
