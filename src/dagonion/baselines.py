@@ -35,11 +35,10 @@ DEFAULT_THRESHOLD = 0.1
 def sort_regress(d: Dataset, scores: np.ndarray, threshold: float) -> Pdag:
     """Order the columns by ascending ``scores``, then regress and threshold.
 
-    Equal scores keep the column order. Raises ValueError for a negative or
-    NaN threshold and RankDeficientDataError when n <= p, a column is
-    constant, or predecessor columns are collinear.
+    Equal scores keep the column order. Raises RankDeficientDataError when
+    n <= p or a column is constant, then ValueError for a negative or NaN
+    threshold, then RankDeficientDataError for collinear predecessors.
     """
-    _require_threshold(threshold)
     return _sort_regress_from_factor(d, _data_factor(d), scores, threshold)
 
 
@@ -54,6 +53,7 @@ def _sort_regress_from_factor(
     """sort_regress from the data factor R of ``_data_factor(d)``."""
     from scipy.linalg import solve_triangular
 
+    _require_threshold(threshold)
     # Stable sort: equal scores keep their original column order.
     order = np.argsort(scores, kind="stable")
     S = np.linalg.qr(R[:, order], mode="r")
@@ -81,5 +81,4 @@ def r2_sort_regress(d: Dataset, threshold: float = DEFAULT_THRESHOLD) -> Pdag:
     """
     R = _data_factor(d)
     r2 = _sample_r2_from_factor(R, d.n)
-    _require_threshold(threshold)
     return _sort_regress_from_factor(d, R, r2, threshold)

@@ -62,7 +62,7 @@ from .metrics import (
 )
 from .onion import dao_sample
 from .sem import cov_to_corr, implied_covariance, standardize, tetrad_params, zarx_params
-from .simdata import simulate, standardize_data
+from .simdata import ERROR_KINDS, simulate, standardize_data
 from .workers import ordered_map
 
 SHAPES = ("er", "sfi", "sfo", "sf-both")
@@ -444,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", parents=[common], help="draw samples from a model")
     sim.add_argument("--model", required=True, help="model JSON path")
     sim.add_argument("--n", type=int, required=True, help="sample size")
-    sim.add_argument("--error", choices=("gaussian", "exponential"), default="gaussian")
+    sim.add_argument("--error", choices=ERROR_KINDS, default="gaussian")
     sim.add_argument("--standardize-data", action="store_true")
     sim.add_argument("--seed", type=int, required=True)
     sim.add_argument("--out", required=True, help="dataset CSV path")
@@ -470,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--shapes", default="er,sfi,sfo")
     bench.add_argument("--methods", default="dao,zarx,tetrad")
     bench.add_argument("--sample-sizes", default="1000")
-    bench.add_argument("--error", choices=("gaussian", "exponential"), default="gaussian")
+    bench.add_argument("--error", choices=ERROR_KINDS, default="gaussian")
     bench.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
     bench.add_argument("--seed", type=int, required=True)
     bench.add_argument("--out", required=True, help="results CSV path")

@@ -311,8 +311,9 @@ def _csv_rows(block: np.ndarray) -> str:
 
 
 def _require_csv_names(names: tuple) -> None:
-    """Raise ValueError for a column name that ``read_dataset`` would not
-    read back: it splits the header line on commas and strips it."""
+    """Raise ValueError for column names that ``read_dataset`` would not
+    read back: it splits the header line on commas and strips it, and an
+    empty header line reads as an empty file."""
     for j, name in enumerate(names, 1):
         if not isinstance(name, str):
             raise ValueError(f"column {j} name {name!r} is not a string")
@@ -320,12 +321,14 @@ def _require_csv_names(names: tuple) -> None:
             raise ValueError(
                 f"column {j} name {name!r} has a comma, a line break or outer whitespace"
             )
+    if not ",".join(names):
+        raise ValueError(f"column names {names!r} give an empty header line")
 
 
 def write_dataset(path: str | Path, d: Dataset) -> None:
     """Write the CSV and its metadata sidecar. Each chunk of rows is written
     as it is formatted, so a large dataset's CSV text is never held whole.
-    Raises ValueError, before any file is made, for a column name that
+    Raises ValueError, before any file is made, for column names that
     ``read_dataset`` would not read back."""
     _require_csv_names(d.names)
     values = d.values

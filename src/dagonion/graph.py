@@ -34,9 +34,9 @@ class Dag:
     ``edges`` holds ``(parent, child)`` pairs, as an iterable or an (m, 2)
     integer array. Construction validates labels and acyclicity (a cycle
     raises :class:`~dagonion.errors.CyclicGraphError`) and builds the frozenset
-    once, from an array in lexicographic order. It keeps, outside eq, hash and
-    repr, the read-only edge array ``_ends`` in that order and the source-first
-    ``_order``.
+    of Python-int tuples once, from the edge array in lexicographic order,
+    whatever the input. It keeps, outside eq, hash and repr, that read-only
+    array ``_ends`` and the source-first ``_order``.
     """
 
     p: int
@@ -47,23 +47,14 @@ class Dag:
     def __post_init__(self) -> None:
         if self.p < 1:
             raise ValueError(f"vertex count must be positive, got {self.p}")
-        array = isinstance(self.edges, np.ndarray)
-        edges = self.edges if array else frozenset(self.edges)  # a frozenset is kept as is
-        ends, _ = _sorted_pairs(_edge_array(edges, self.p), self.p)  # raises on a bad label
-        object.__setattr__(self, "edges", frozenset(zip(*ends.T.tolist())) if array else edges)
+        ends, _ = _sorted_pairs(_edge_array(self.edges, self.p), self.p)  # raises on a bad label
+        object.__setattr__(self, "edges", frozenset(zip(*ends.T.tolist())))
         object.__setattr__(self, "_ends", ends)
         object.__setattr__(self, "_order", _walk_source_first(self.p, ends))
 
     @property
     def num_edges(self) -> int:
         return len(self.edges)
-
-    def parent_map(self) -> dict[int, list[int]]:
-        """Sorted parent lists for every vertex: slices of the edge array
-        sorted by child, then by parent label."""
-        lo, by_child = _parent_slices(self, np.arange(self.p))
-        pa = (by_child[:, 0] + 1).tolist()
-        return {v: pa[lo[v - 1]:lo[v]] for v in range(1, self.p + 1)}
 
 
 def _parent_slices(g: Dag, rank: np.ndarray) -> tuple[list[int], np.ndarray]:
@@ -171,14 +162,20 @@ def _rewire(g: Dag, rng: np.random.Generator, *, forward: bool) -> Dag:
 def _edge_array(edges, p: int) -> np.ndarray:
     """The (m, 2) int64 array of the (a, b) pairs in ``edges``, an (m, 2)
     integer array or an iterable of pairs, in the given order. Raises
-    ValueError unless every item is a pair of labels in 1..p with a != b."""
+    ValueError unless every item is a pair of labels in 1..p with a != b.
+    One C-level scan checks the item lengths; only when it fails does a loop
+    run, so that the error names the first item that is not a pair."""
     if isinstance(edges, np.ndarray):
         if edges.dtype.kind not in "iu" or edges.shape[1:] != (2,):
             raise ValueError(f"edge array must be (m, 2) integer, not {edges.dtype} {edges.shape}")
         ends = edges.astype(np.int64, copy=False)  # an unsigned label past int64 wraps below 1
     else:
+        items = list(edges)
+        if not set(map(len, items)) <= {2}:
+            bad = next(item for item in items if len(item) != 2)
+            raise ValueError(f"edge {bad!r} is not a (parent, child) pair")
         try:
-            ends = np.fromiter(chain.from_iterable(edges), np.int64).reshape(len(edges), 2)
+            ends = np.fromiter(chain.from_iterable(items), np.int64, 2 * len(items)).reshape(-1, 2)
         except OverflowError:
             raise ValueError(f"an edge label lies outside vertex range 1..{p}") from None
     if ends.min(initial=1) < 1 or ends.max(initial=p) > p:

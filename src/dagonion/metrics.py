@@ -235,7 +235,7 @@ def sortability_rank_corr(
     means the score grows along the causal order.
     """
     scores = np.asarray(scores, dtype=float)
-    causal_index = np.asarray(causal_index, dtype=np.intp)
+    causal_index = np.asarray(causal_index)  # uncast, so that 1.9 is no 1
     p = len(scores)
     if causal_index.shape != (p,):
         raise ValueError(

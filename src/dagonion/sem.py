@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonPositiveVarianceError, SingularMatrixError, SingularParentBlockError
-from .graph import Dag, source_first_order
+from .graph import Dag, _parent_slices, source_first_order
 
 __all__ = [
     "SemParameters",
@@ -146,11 +146,10 @@ def cov_to_dag(g: Dag, sigma: np.ndarray) -> SemParameters:
         )
     B = np.zeros((p, p))
     omega = np.diag(sigma).astype(float).copy()
-    for i, J in g.parent_map().items():
-        if not J:
-            continue
-        J0 = np.asarray(J, dtype=np.intp) - 1
-        i0 = i - 1
+    lo, by_child = _parent_slices(g, np.arange(p))
+    for i0 in np.flatnonzero(np.diff(lo)).tolist():  # the vertices with parents
+        J0 = by_child[lo[i0]:lo[i0 + 1], 0]
+        i = i0 + 1
         Sjj = sigma[np.ix_(J0, J0)]
         if np.linalg.cond(Sjj) > _COND_LIMIT:
             raise SingularParentBlockError(

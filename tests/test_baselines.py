@@ -64,8 +64,9 @@ class TestSortRegress:
             var_sort_regress(_independent_data(n=50, p=3, seed=3), threshold=-1.0)
 
     def test_bad_threshold_versus_rank_deficiency(self):
-        # A bad threshold is checked before the data in sort_regress and
-        # var_sort_regress, and after the R^2 scores in r2_sort_regress.
+        # A bad threshold is checked before the predecessor pivots in
+        # sort_regress and var_sort_regress, and after the R^2 scores in
+        # r2_sort_regress.
         rng = np.random.default_rng(3)
         x = rng.standard_normal(50)
         dup = Dataset(np.column_stack([x, x, rng.standard_normal(50)]), ("a", "b", "c"))

@@ -338,6 +338,21 @@ class TestDatasetFormat:
         assert d.values.shape == (2, 1)
         assert d.names == ("only",)
 
+    @pytest.mark.parametrize("values, names", [
+        (np.ones((2, 1)), ("",)), (np.empty((3, 0)), ()),
+    ], ids=["one-empty-name", "no-columns"])
+    def test_empty_header_refused_before_any_file(self, tmp_path, values, names):
+        # read_dataset reads an empty header line as an empty file.
+        with pytest.raises(ValueError, match="give an empty header line"):
+            write_dataset(tmp_path / "d.csv", Dataset(values, names))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_empty_name_among_several_round_trips(self, tmp_path):
+        d = Dataset(np.array([[1.0, 2.0], [3.0, 4.0]]), ("", "b"))
+        write_dataset(tmp_path / "d.csv", d)
+        back = read_dataset(tmp_path / "d.csv")
+        assert back.names == d.names and np.array_equal(back.values, d.values)
+
     def test_names_with_inner_spaces_and_quotes_round_trip(self, tmp_path):
         d = Dataset(np.array([[1.0, 2.0, 3.0]]), ("a b", '"q"', "x;y"))
         write_dataset(tmp_path / "d.csv", d)

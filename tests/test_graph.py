@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 
 import numpy as np
@@ -15,6 +16,7 @@ from dagonion import (
     shuffle_labels,
     source_first_order,
 )
+from dagonion.graph import _parent_slices
 from util import (
     GRAPH_KINDS,
     append_parent_map,
@@ -26,6 +28,7 @@ from util import (
     list_sfi_rewire,
     list_sfo_rewire,
     list_walk_source_first,
+    parent_map,
     parents,
     scalar_draw_rewire,
     shuffled_pair_array,
@@ -55,7 +58,7 @@ class TestDagType:
         assert parents(g, 3) == (1, 2)
         assert children(g, 3) == (4,)
         assert parents(g, 1) == ()
-        assert g.parent_map()[3] == [1, 2]
+        assert parent_map(g)[3] == [1, 2]
 
 
 class TestDagKeptArrays:
@@ -123,6 +126,33 @@ class TestArrayInput:
         assert np.array_equal(g._ends, h._ends) and g._order == h._order
         assert all(type(x) is int for e in g.edges for x in e)
 
+    @settings(max_examples=100)
+    @given(shaped=_shaped_graphs(), seed=st.integers(0, 2**32 - 1))
+    def test_every_iterable_builds_the_array_graph(self, shaped, seed):
+        # edges always come from the sorted array, so even repr does not
+        # depend on the input's type or order.
+        p, edges = shaped
+        rows = shuffled_pair_array(edges, np.random.default_rng(seed))
+        want = Dag(p, rows)
+        for given_edges in (
+            set(edges), frozenset(edges), rows.tolist(), (tuple(e) for e in rows.tolist()),
+            [(np.int64(a), np.int32(b)) for a, b in rows], list(rows),
+        ):
+            g = Dag(p, given_edges)
+            assert g == want and hash(g) == hash(want) and repr(g) == repr(want)
+            assert np.array_equal(g._ends, want._ends) and g._order == want._order
+            assert all(type(x) is int for e in g.edges for x in e)
+
+    @pytest.mark.parametrize("edges, bad", [
+        ([(1, 2, 3), (4,)], "(1, 2, 3)"),
+        ([(1, 2), (4,), (1, 2, 3)], "(4,)"),
+        ([(1, 2, 3)], "(1, 2, 3)"),
+        ([(1, 2), ()], "()"),
+    ])
+    def test_rejects_items_that_are_not_pairs(self, edges, bad):
+        with pytest.raises(ValueError, match=re.escape(f"edge {bad} is not a")):
+            Dag(5, edges)
+
     def test_unsigned_and_empty_arrays(self):
         assert Dag(3, np.array([[2, 3], [1, 2]], np.uint8)) == Dag(3, {(1, 2), (2, 3)})
         assert Dag(3, np.empty((0, 2), np.int64)) == Dag(3)
@@ -150,8 +180,8 @@ class TestArrayInput:
 
 
 class TestEdgeArrayWalkOracle:
-    """The walk and ``parent_map`` slice the kept edge array; the edge-by-edge
-    loops in tests/util.py are their oracles."""
+    """The walk and ``_parent_slices`` slice the kept edge array; the
+    edge-by-edge loops in tests/util.py are their oracles."""
 
     @staticmethod
     def _check(p, edges):
@@ -164,7 +194,16 @@ class TestEdgeArrayWalkOracle:
             return False
         g = Dag(p, edges)
         assert g._order == want
-        assert g.parent_map() == append_parent_map(g)
+        want_pa = append_parent_map(g)
+        assert parent_map(g) == want_pa
+        # Any distinct rank orders each vertex's parent slice.
+        rank = np.random.default_rng(len(edges)).permutation(p)
+        lo, by_child = _parent_slices(g, rank)
+        assert len(lo) == p + 1 and lo[p] == len(by_child) == len(edges)
+        for u in range(p):
+            rows = by_child[lo[u]:lo[u + 1]]
+            assert (rows[:, 1] == u).all()
+            assert (rows[:, 0] + 1).tolist() == sorted(want_pa[u + 1], key=lambda a: rank[a - 1])
         return True
 
     @given(_shaped_graphs())
@@ -188,7 +227,7 @@ class TestEdgeArrayWalkOracle:
     def test_edges_in_any_order(self):
         g = Dag(5, [(4, 1), (5, 2), (1, 2), (5, 1), (3, 2)])
         assert g._order == (3, 4, 5, 1, 2)
-        assert g.parent_map() == {1: [4, 5], 2: [1, 3, 5], 3: [], 4: [], 5: []}
+        assert parent_map(g) == {1: [4, 5], 2: [1, 3, 5], 3: [], 4: [], 5: []}
 
 
 class TestErDag:

@@ -116,10 +116,21 @@ class TestPdagType:
         ({(1, 2, 3)}, set()),
         (set(), {(1,)}),
         ({(1, 2**70)}, set()),
+        # Four labels in two items once read as two valid pairs.
+        ({(2, 3, 1), (3,)}, set()),
+        (set(), {(1, 2, 3), (2,)}),
     ])
     def test_malformed_pairs_rejected(self, directed, undirected):
         with pytest.raises(ValueError):
             Pdag(3, frozenset(directed), frozenset(undirected))
+
+    def test_iterables_of_pairs_accepted(self):
+        want = Pdag(5, np.array([[1, 2], [3, 4]]), np.array([[5, 1]]))
+        rows = np.array([[3, 4], [1, 2]])
+        for directed in ([(3, 4), (1, 2)], ((a, b) for a, b in [(1, 2), (3, 4)]), list(rows),
+                         [(np.int64(3), np.int32(4)), (np.intp(1), np.int64(2))]):
+            got = Pdag(5, directed, ((a, b) for a, b in [(1, 5)]))
+            assert got == want and repr(got) == repr(want)
 
     @settings(max_examples=200)
     @given(p=st.integers(1, 30), seed=st.integers(0, 2**32 - 1))
@@ -556,6 +567,20 @@ class TestSortabilityRankCorr:
             sortability_rank_corr([1.0, 2.0], [1, 3])
         with pytest.raises(ValueError):
             sortability_rank_corr([1.0, 2.0], [1])
+
+    @pytest.mark.parametrize("idx", [
+        [1.9, 2.2, 3.7], [1.0, 2.5, 3.0], [0.5, 2.0, 3.0], [np.nan, 2.0, 3.0],
+    ])
+    def test_non_integer_index_rejected(self, idx):
+        # Casting to an integer type would truncate these to a permutation.
+        with pytest.raises(ValueError, match="must be a permutation of 1..p"):
+            sortability_rank_corr([1.0, 2.0, 3.0], idx)
+
+    def test_integer_valued_index_of_any_type_accepted(self):
+        scores = [3.0, 1.0, 2.0]
+        for idx in ([1, 2, 3], np.array([1, 2, 3], np.int32), np.array([1, 2, 3], np.uint8),
+                    [1.0, 2.0, 3.0]):
+            assert sortability_rank_corr(scores, idx) == -0.5
 
 
 class TestVarsortabilityScores:

@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,7 +25,14 @@ from dagonion import (
     zarx_params,
 )
 from dagonion.cli import _apply_shape, _rng
-from util import edge_loop_tetrad_params, edge_loop_zarx_params, refit_standardize
+from util import (
+    GRAPH_KINDS,
+    edge_loop_tetrad_params,
+    edge_loop_zarx_params,
+    kind_graph,
+    parent_list_cov_to_dag,
+    refit_standardize,
+)
 
 CHAIN2 = Dag(2, frozenset({(1, 2)}))
 
@@ -227,6 +236,72 @@ class TestCovToDag:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             cov_to_dag(CHAIN2, np.eye(3))
+
+
+SIGMA_KINDS = ("dao", "zarx", "tetrad", "zarx-corr", "low-rank", "indefinite")
+
+
+def _sigma(kind: str, g: Dag, rng: np.random.Generator) -> np.ndarray:
+    """A p x p matrix for ``cov_to_dag``: a model's implied covariance or
+    correlation, or a low-rank or indefinite one whose parent blocks fail."""
+    p = g.p
+    if kind == "dao":
+        return dao_sample(g, rng)[0]
+    if kind in ("zarx", "zarx-corr", "tetrad"):
+        sigma = implied_covariance((tetrad_params if kind == "tetrad" else zarx_params)(g, rng))
+        return cov_to_corr(sigma) if kind == "zarx-corr" else sigma
+    if kind == "low-rank":
+        A = rng.standard_normal((p, max(1, p // 3)))
+        return A @ A.T + np.diag(rng.random(p) < 0.5)  # some diagonal lifted
+    S = rng.uniform(-0.9, 0.9, (p, p))
+    S = (S + S.T) / 2.0
+    np.fill_diagonal(S, 1.0)
+    return S
+
+
+class TestParentListOracle:
+    """cov_to_dag over the sorted edge slices equals the loop over a dict of
+    parent lists, byte for byte, and fails with the same exception."""
+
+    @staticmethod
+    def _check(g, sigma):
+        """None when both succeed, else the shared failure message."""
+        try:
+            want = parent_list_cov_to_dag(g, sigma)
+        except SingularParentBlockError as exc:
+            with pytest.raises(SingularParentBlockError) as info:
+                cov_to_dag(g, sigma)
+            assert type(info.value) is type(exc) and str(info.value) == str(exc)
+            return str(exc)
+        got = cov_to_dag(g, sigma)
+        assert got.B.tobytes() == want.B.tobytes()
+        assert got.omega.tobytes() == want.omega.tobytes()
+        return None
+
+    @settings(max_examples=150)
+    @given(
+        kind=st.sampled_from(GRAPH_KINDS),
+        p=st.integers(1, 40),
+        shuffle=st.booleans(),
+        sigma_kind=st.sampled_from(SIGMA_KINDS),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_property_matches_oracle(self, kind, p, shuffle, sigma_kind, seed):
+        rng = np.random.default_rng(seed)
+        g = kind_graph(kind, p, rng)
+        if shuffle:
+            g, _ = shuffle_labels(g, rng)
+        self._check(g, _sigma(sigma_kind, g, rng))
+
+    def test_both_outcomes_and_every_failure_message(self):
+        rng = np.random.default_rng(21)
+        outcomes = set()
+        for sigma_kind, kind, p in product(SIGMA_KINDS, GRAPH_KINDS, (1, 5, 30)):
+            g = kind_graph(kind, p, rng)
+            outcomes.add(self._check(g, _sigma(sigma_kind, g, rng)))
+        assert None in outcomes
+        failures = {message.split(" is ")[-1] for message in outcomes - {None}}
+        assert failures == {"numerically singular", "not positive definite", "not positive"}
 
 
 class TestStandardize:

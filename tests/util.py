@@ -21,6 +21,7 @@ from dagonion import (
     RankDeficientDataError,
     SchemaError,
     SemParameters,
+    SingularParentBlockError,
     cov_to_corr,
     cov_to_dag,
     dao_sample,
@@ -36,6 +37,7 @@ from dagonion import (
     zarx_params,
 )
 from dagonion.fileio import atomic_write_text, meta_path
+from dagonion.graph import _parent_slices
 
 
 def all_pairs(p: int) -> list[tuple[int, int]]:
@@ -304,15 +306,15 @@ def full_block_dao_sample(g: Dag, rng: np.random.Generator):
         pos = {v: t + 1 for t, v in enumerate(order)}
         h = Dag(p, frozenset((pos[a], pos[b]) for a, b in g.edges))
 
-    parent_map = h.parent_map()
-    m = sum(1 for v in range(1, p + 1) if not parent_map[v])
+    pa_of = parent_map(h)
+    m = sum(1 for v in range(1, p + 1) if not pa_of[v])
 
     R = np.eye(p)
     B = np.zeros((p, p))
     omega = np.ones(p)
     for i in range(m, p):
         # Layer i extends the i x i leading block to cover vertex i+1.
-        parents0 = np.asarray(parent_map[i + 1], dtype=np.intp) - 1
+        parents0 = np.asarray(pa_of[i + 1], dtype=np.intp) - 1
         k = len(parents0)
         w = np.zeros(i)
         w[:k] = sample_mpii(k, (p - i) / 2.0, rng)
@@ -374,7 +376,7 @@ def list_sfi_rewire(g: Dag, rng: np.random.Generator) -> Dag:
 
 def list_sfo_rewire(g: Dag, rng: np.random.Generator) -> Dag:
     """Candidate-list sfo rewiring, the oracle for ``sfo_rewire``."""
-    in_deg_in = {v: len(ps) for v, ps in g.parent_map().items()}
+    in_deg_in = {v: len(ps) for v, ps in parent_map(g).items()}
     out_deg = np.zeros(g.p)
     edges: list[tuple[int, int]] = []
     for i in range(1, g.p + 1):
@@ -411,12 +413,12 @@ def column_loop_simulate(
     """The n x p data filled column by column, one error draw per vertex in
     source-first order: the oracle for ``simulate``, which draws every error
     at once and completes the rows of a p x n buffer."""
-    parent_map = params.g.parent_map()
+    pa_of = parent_map(params.g)
     X = np.zeros((n, params.g.p))
     for v in source_first_order(params.g):
         i0 = v - 1
         z = _draw_errors(error_kind, float(params.omega[i0]), n, rng)
-        pa0 = np.asarray(parent_map[v], dtype=np.intp) - 1
+        pa0 = np.asarray(pa_of[v], dtype=np.intp) - 1
         if len(pa0):
             X[:, i0] = X[:, pa0] @ params.B[i0, pa0] + z
         else:
@@ -513,15 +515,15 @@ def list_dao_sample(g: Dag, rng: np.random.Generator, solve=None):
     order = source_first_order(g)
     walk = np.asarray(order, dtype=np.intp) - 1
     position = {v: i for i, v in enumerate(order)}
-    parent_map = g.parent_map()
+    pa_of = parent_map(g)
 
     R = np.eye(p)
     B = np.zeros((p, p))
     omega = np.ones(p)
     for i, v in enumerate(order):
-        if not parent_map[v]:
+        if not pa_of[v]:
             continue
-        pa = np.asarray(sorted(parent_map[v], key=position.__getitem__)) - 1
+        pa = np.asarray(sorted(pa_of[v], key=position.__getitem__)) - 1
         w = sample_mpii(len(pa), (p - i) / 2.0, rng)
         rows = R[pa]
         try:
@@ -562,7 +564,7 @@ def row_loop_simulate(
     oracle for ``simulate``, which gathers coefficients and parent rows once
     and adds 0.0 to every source row at once."""
     p = params.g.p
-    parent_map = params.g.parent_map()
+    pa_of = parent_map(params.g)
     order = np.asarray(source_first_order(params.g), dtype=np.intp) - 1
     pos = np.argsort(order)
     sd = np.sqrt(params.omega[order])[:, None]
@@ -572,7 +574,7 @@ def row_loop_simulate(
     if error_kind == "exponential":
         W -= sd
     for j, v in enumerate(order.tolist()):
-        pa = np.asarray(parent_map[v + 1], dtype=np.intp) - 1
+        pa = np.asarray(pa_of[v + 1], dtype=np.intp) - 1
         W[j] = params.B[v, pa] @ W[pos[pa]] + W[j]
     return np.ascontiguousarray(W[pos].T)
 
@@ -693,13 +695,56 @@ def list_walk_source_first(p: int, ends: np.ndarray) -> tuple[int, ...]:
     return tuple(order)
 
 
+def parent_map(g: Dag) -> dict[int, list[int]]:
+    """Sorted parent lists for every vertex: slices of the edge array
+    sorted by child, then by parent label (``graph._parent_slices``)."""
+    lo, by_child = _parent_slices(g, np.arange(g.p))
+    pa = (by_child[:, 0] + 1).tolist()
+    return {v: pa[lo[v - 1]:lo[v]] for v in range(1, g.p + 1)}
+
+
 def append_parent_map(g: Dag) -> dict[int, list[int]]:
     """Parent lists appended edge by edge in lexicographic order: the oracle
-    for ``Dag.parent_map``, which slices the child-sorted edge array."""
+    for ``parent_map``, which slices the child-sorted edge array."""
     pa: dict[int, list[int]] = {v: [] for v in range(1, g.p + 1)}
     for a, b in sorted(g.edges):
         pa[b].append(a)
     return pa
+
+
+def parent_list_cov_to_dag(g: Dag, sigma: np.ndarray) -> SemParameters:
+    """``cov_to_dag`` over a dict of parent lists appended edge by edge: the
+    byte-identity oracle for it, which slices the child-sorted edge array."""
+    sigma = np.asarray(sigma, dtype=float)
+    p = g.p
+    B = np.zeros((p, p))
+    omega = np.diag(sigma).astype(float).copy()
+    for i, J in append_parent_map(g).items():
+        if not J:
+            continue
+        J0 = np.asarray(J, dtype=np.intp) - 1
+        i0 = i - 1
+        Sjj = sigma[np.ix_(J0, J0)]
+        if np.linalg.cond(Sjj) > 1e12:
+            raise SingularParentBlockError(
+                f"parent block of vertex {i} is numerically singular"
+            )
+        try:
+            factor = linalg.cho_factor(Sjj, lower=True)
+        except linalg.LinAlgError as exc:
+            raise SingularParentBlockError(
+                f"parent block of vertex {i} is not positive definite"
+            ) from exc
+        sji = sigma[J0, i0]
+        b = linalg.cho_solve(factor, sji)
+        w = sigma[i0, i0] - b @ sji
+        if w <= 0:
+            raise SingularParentBlockError(
+                f"conditional variance of vertex {i} is not positive"
+            )
+        B[i0, J0] = b
+        omega[i0] = w
+    return SemParameters(g, B, omega)
 
 
 def loop_int_pairs(raw, where: str) -> list[tuple[int, int]]:
