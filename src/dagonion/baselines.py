@@ -23,7 +23,8 @@ from __future__ import annotations
 import numpy as np
 
 from .metrics import (
-    Pdag, _data_factor, _require_pivots, _sample_r2_from_factor, varsortability_scores
+    Pdag, _data_factor, _qr_r_inplace, _require_pivots, _sample_r2_from_factor,
+    varsortability_scores,
 )
 from .simdata import Dataset
 
@@ -56,7 +57,7 @@ def _sort_regress_from_factor(
     _require_threshold(threshold)
     # Stable sort: equal scores keep their original column order.
     order = np.argsort(scores, kind="stable")
-    S = np.linalg.qr(R[:, order], mode="r")
+    S = _qr_r_inplace(R.T[order].T)  # a Fortran-ordered copy of R[:, order]
     # The last column is never a predecessor, so its pivot is not checked.
     _require_pivots(np.abs(np.diag(S))[:-1], d.n, "predecessor")
     # coef[j, k] is the coefficient of sorted column j (< k) in the fit of k;

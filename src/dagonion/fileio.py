@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import SchemaError
-from .graph import Dag
+from .graph import Dag, _is_integer
 from .metrics import Pdag
 from .sem import SemParameters
 from .simdata import Dataset
@@ -138,37 +138,6 @@ def _require(cond: bool, where: str, msg: str) -> None:
         raise SchemaError(f"{where}: {msg}")
 
 
-def _is_int(x) -> bool:
-    """True for a JSON integer; JSON true/false load as bool, a subclass of int."""
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _pair_array(raw, where: str) -> np.ndarray | list[tuple[int, int]]:
-    """The pairs of a JSON list of two-integer lists: an (m, 2) int64 array,
-    or ``(a, b)`` tuples when a label does not fit int64. Three C-level scans
-    check the list; only when they fail does a loop run, so that the
-    SchemaError names the first bad item."""
-    if (
-        type(raw) is list
-        and set(map(type, raw)) <= {list}
-        and set(map(len, raw)) <= {2}
-        and set(map(type, chain.from_iterable(raw))) <= {int}  # bool is not int
-    ):
-        try:
-            return np.fromiter(chain.from_iterable(raw), np.int64, 2 * len(raw)).reshape(-1, 2)
-        except OverflowError:
-            pass  # a label past int64, which Dag and Pdag reject by name
-    else:
-        _require(isinstance(raw, list), where, "expected a list of pairs")
-        for item in raw:
-            if not (isinstance(item, list) and len(item) == 2):
-                raise SchemaError(f"{where}: bad pair {item!r}")
-            if not (_is_int(item[0]) and _is_int(item[1])):
-                raise SchemaError(f"{where}: pair entries must be integers, got {item!r}")
-        # Only subclasses of list or int get here.
-    return [tuple(item) for item in raw]
-
-
 def _order_from_dict(d: dict, p: int, where: str) -> tuple[int, ...] | None:
     """The optional ``"order"`` field: None, or a permutation of 1..p."""
     raw = d.get("order")
@@ -176,7 +145,7 @@ def _order_from_dict(d: dict, p: int, where: str) -> tuple[int, ...] | None:
         return None
     _require(
         isinstance(raw, list)
-        and all(_is_int(v) for v in raw)
+        and all(_is_integer(v) for v in raw)
         and sorted(raw) == list(range(1, p + 1)),
         where,
         '"order" must be a permutation of 1..p',
@@ -196,11 +165,11 @@ def graph_from_dict(d: dict, where: str = "graph") -> tuple[Dag, tuple[int, ...]
     _require(isinstance(d, dict), where, "expected a JSON object")
     _require("p" in d and "edges" in d, where, 'missing "p" or "edges"')
     p = d["p"]
-    _require(_is_int(p) and p >= 1, where, f'bad "p": {p!r}')
-    edges = _pair_array(d["edges"], where)
+    _require(_is_integer(p) and p >= 1, where, f'bad "p": {p!r}')
+    _require(isinstance(d["edges"], list), where, "expected a list of pairs")
     order = _order_from_dict(d, p, where)
     try:
-        g = Dag(p, edges)
+        g = Dag(p, d["edges"])  # checks each pair
     except ValueError as exc:
         raise SchemaError(f"{where}: {exc}") from exc
     return g, order
@@ -242,7 +211,7 @@ def model_from_dict(d: dict, where: str = "model") -> ModelRecord:
     for key in ("p", "B", "omega", "R", "method"):
         _require(key in d, where, f'missing "{key}"')
     p = d["p"]
-    _require(_is_int(p) and p >= 1, where, f'bad "p": {p!r}')
+    _require(_is_integer(p) and p >= 1, where, f'bad "p": {p!r}')
     try:
         B = np.asarray(d["B"], dtype=float)
         omega = np.asarray(d["omega"], dtype=float)
@@ -263,7 +232,7 @@ def model_from_dict(d: dict, where: str = "model") -> ModelRecord:
     order = _order_from_dict(d, p, where)
     seed = d.get("seed")
     _require(
-        seed is None or _is_int(seed), where, f'bad "seed": {seed!r}'
+        seed is None or _is_integer(seed), where, f'bad "seed": {seed!r}'
     )
     method = d["method"]
     _require(isinstance(method, str), where, f'bad "method": {method!r}')
@@ -283,10 +252,11 @@ def pdag_from_dict(d: dict, where: str = "pdag") -> Pdag:
     _require(isinstance(d, dict), where, "expected a JSON object")
     _require("p" in d, where, 'missing "p"')
     p = d["p"]
-    _require(_is_int(p) and p >= 1, where, f'bad "p": {p!r}')
-    directed = _pair_array(d.get("directed", []), where)
-    undirected = _pair_array(d.get("undirected", []), where)
-    try:
+    _require(_is_integer(p) and p >= 1, where, f'bad "p": {p!r}')
+    directed, undirected = d.get("directed", []), d.get("undirected", [])
+    _require(isinstance(directed, list) and isinstance(undirected, list), where,
+             "expected a list of pairs")
+    try:  # Pdag checks each pair
         return Pdag(p, directed, undirected)
     except ValueError as exc:
         raise SchemaError(f"{where}: {exc}") from exc

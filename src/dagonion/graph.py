@@ -32,11 +32,12 @@ class Dag:
     """A directed acyclic graph on vertices 1..p.
 
     ``edges`` holds ``(parent, child)`` pairs, as an iterable or an (m, 2)
-    integer array. Construction validates labels and acyclicity (a cycle
-    raises :class:`~dagonion.errors.CyclicGraphError`) and builds the frozenset
-    of Python-int tuples once, from the edge array in lexicographic order,
-    whatever the input. It keeps, outside eq, hash and repr, that read-only
-    array ``_ends`` and the source-first ``_order``.
+    integer array. Construction validates p, the pairs (``_edge_array``) and
+    acyclicity (a cycle raises :class:`~dagonion.errors.CyclicGraphError`),
+    keeps p as a Python int and builds the frozenset of Python-int tuples
+    once, from the edge array in lexicographic order, whatever the input. It
+    keeps, outside eq, hash and repr, that read-only array ``_ends`` and the
+    source-first ``_order``.
     """
 
     p: int
@@ -45,8 +46,7 @@ class Dag:
     _order: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.p < 1:
-            raise ValueError(f"vertex count must be positive, got {self.p}")
+        object.__setattr__(self, "p", _vertex_count(self.p))
         ends, _ = _sorted_pairs(_edge_array(self.edges, self.p), self.p)  # raises on a bad label
         object.__setattr__(self, "edges", frozenset(zip(*ends.T.tolist())))
         object.__setattr__(self, "_ends", ends)
@@ -159,21 +159,40 @@ def _rewire(g: Dag, rng: np.random.Generator, *, forward: bool) -> Dag:
     return Dag(p, np.array(edges, np.int64).reshape(-1, 2))
 
 
+def _is_integer(x) -> bool:
+    """True for a Python or numpy integer other than a bool, a subclass of int
+    (JSON true and false load as bool)."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _vertex_count(p) -> int:
+    """``p`` as a Python int; raises ValueError unless it is an integer >= 1."""
+    if not (_is_integer(p) and p >= 1):
+        raise ValueError(f"vertex count must be a positive integer, got {p!r}")
+    return int(p)
+
+
 def _edge_array(edges, p: int) -> np.ndarray:
     """The (m, 2) int64 array of the (a, b) pairs in ``edges``, an (m, 2)
     integer array or an iterable of pairs, in the given order. Raises
-    ValueError unless every item is a pair of labels in 1..p with a != b.
-    One C-level scan checks the item lengths; only when it fails does a loop
-    run, so that the error names the first item that is not a pair."""
+    ValueError unless every item is a list, tuple or 1-d array of two
+    integer labels a != b in 1..p. Three C-level scans accept lists and
+    tuples of Python ints; only when they fail does a loop run, which checks
+    every item and names the first bad one."""
     if isinstance(edges, np.ndarray):
         if edges.dtype.kind not in "iu" or edges.shape[1:] != (2,):
             raise ValueError(f"edge array must be (m, 2) integer, not {edges.dtype} {edges.shape}")
         ends = edges.astype(np.int64, copy=False)  # an unsigned label past int64 wraps below 1
     else:
         items = list(edges)
-        if not set(map(len, items)) <= {2}:
-            bad = next(item for item in items if len(item) != 2)
-            raise ValueError(f"edge {bad!r} is not a (parent, child) pair")
+        if not (set(map(type, items)) <= {list, tuple} and set(map(len, items)) <= {2}
+                and set(map(type, chain.from_iterable(items))) <= {int}):  # bool is not int
+            for item in items:
+                if not (isinstance(item, (list, tuple, np.ndarray))
+                        and getattr(item, "ndim", 1) == 1 and len(item) == 2):
+                    raise ValueError(f"bad pair {item!r}")
+                if not all(map(_is_integer, item)):
+                    raise ValueError(f"pair entries must be integers, got {item!r}")
         try:
             ends = np.fromiter(chain.from_iterable(items), np.int64, 2 * len(items)).reshape(-1, 2)
         except OverflowError:

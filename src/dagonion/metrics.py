@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import RankDeficientDataError, SingularMatrixError
-from .graph import Dag, _codes, _edge_array, _sorted_pairs
+from .graph import Dag, _codes, _edge_array, _sorted_pairs, _vertex_count
 from .simdata import Dataset
 
 __all__ = [
@@ -45,13 +45,13 @@ class Pdag:
     """A partially directed graph: directed plus undirected edges.
 
     ``directed`` holds (parent, child) pairs; ``undirected`` holds unordered
-    pairs. Each is an iterable of pairs or an (m, 2) integer array. Construction
-    builds each frozenset once, from its edge array, of Python-int tuples with
-    undirected pairs as (min, max); it keeps the sorted codes of both outside
-    eq, hash and repr. It raises ValueError for a label outside 1..p, a
-    self-loop, a pair in both directions of ``directed``, or a pair in both
-    sets (in either orientation). Full equivalence-class semantics are not
-    enforced; this is a container for estimated structures.
+    pairs. Each is an iterable of pairs or an (m, 2) integer array, checked,
+    like p, as a Dag's are. Construction builds each frozenset once, from its
+    edge array, of Python-int tuples with undirected pairs as (min, max); it
+    keeps the sorted codes of both outside eq, hash and repr. It also raises
+    ValueError for a pair in both directions of ``directed``, or a pair in
+    both sets (in either orientation). Full equivalence-class semantics are
+    not enforced; this is a container for estimated structures.
     """
 
     p: int
@@ -61,9 +61,8 @@ class Pdag:
     _undirected_codes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        p = self.p
-        if p < 1:
-            raise ValueError(f"vertex count must be positive, got {p}")
+        p = _vertex_count(self.p)
+        object.__setattr__(self, "p", p)
         d, dcode = _sorted_pairs(_edge_array(self.directed, p), p)
         u, ucode = _sorted_pairs(np.sort(_edge_array(self.undirected, p), axis=1), p)
         if len(np.intersect1d(dcode, _codes(d[:, ::-1], p), assume_unique=True)):

@@ -29,6 +29,8 @@ class Dataset:
             raise ValueError(f"values must be 2-d, got shape {values.shape}")
         if values.shape[0] < 1:
             raise ValueError("dataset must contain at least one row")
+        if values.shape[1] < 1:
+            raise ValueError("dataset must contain at least one column")
         if len(self.names) != values.shape[1]:
             raise ValueError(
                 f"{len(self.names)} names for {values.shape[1]} columns"

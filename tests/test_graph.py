@@ -10,6 +10,7 @@ from scipy import stats
 from dagonion import (
     CyclicGraphError,
     Dag,
+    Pdag,
     er_dag,
     sfi_rewire,
     sfo_rewire,
@@ -150,7 +151,7 @@ class TestArrayInput:
         ([(1, 2), ()], "()"),
     ])
     def test_rejects_items_that_are_not_pairs(self, edges, bad):
-        with pytest.raises(ValueError, match=re.escape(f"edge {bad} is not a")):
+        with pytest.raises(ValueError, match=re.escape(f"bad pair {bad}")):
             Dag(5, edges)
 
     def test_unsigned_and_empty_arrays(self):
@@ -177,6 +178,63 @@ class TestArrayInput:
     def test_rejects_cyclic_array(self):
         with pytest.raises(CyclicGraphError):
             Dag(3, np.array([[1, 2], [2, 3], [3, 1]]))
+
+
+_BUILDERS = {
+    "dag": lambda p, e: Dag(p, e),
+    "pdag-directed": lambda p, e: Pdag(p, e),
+    "pdag-undirected": lambda p, e: Pdag(p, (), e),
+}
+
+
+@pytest.mark.parametrize("build", _BUILDERS.values(), ids=_BUILDERS)
+class TestEdgeRule:
+    """Dag and both Pdag sets take an item only as a list, tuple or 1-d
+    array of two Python or numpy integers, and name the first item that is
+    not, in the words of the graph file readers."""
+
+    @pytest.mark.parametrize("edges, message", [
+        ([(1.0, 2)], "pair entries must be integers, got (1.0, 2)"),
+        ([(1, 2), (1.5, 2), None], "pair entries must be integers, got (1.5, 2)"),
+        ([(True, 2)], "pair entries must be integers, got (True, 2)"),
+        ([(1, np.True_)], "pair entries must be integers, got (1, np.True_)"),
+        ([np.array([1.0, 2.0])], "pair entries must be integers, got array([1., 2.])"),
+        (["12"], "bad pair '12'"),
+        ([(1, 2), {1: 2, 3: 4}], "bad pair {1: 2, 3: 4}"),
+        ([(1, 2), None], "bad pair None"),
+        ([None, (1.5, 2)], "bad pair None"),
+        ([((1, 2), (2, 3))], "pair entries must be integers, got ((1, 2), (2, 3))"),
+        ([[[1], 2]], "pair entries must be integers, got [[1], 2]"),
+        ([np.array([[1, 2], [2, 3]])], f"bad pair {np.array([[1, 2], [2, 3]])!r}"),
+        ([np.array(1)], "bad pair array(1)"),
+    ], ids=lambda x: " ".join(repr(x).split())[:32])
+    def test_names_the_first_bad_item(self, build, edges, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build(3, edges)
+
+    @pytest.mark.parametrize("edges", [
+        [(1, 2)],
+        [[np.int64(1), 2]],
+        [(np.int64(1), np.uint8(2))],
+        [np.array([1, 2])],
+        [np.array([1, 2], np.int32)],
+    ], ids=["tuple", "list-with-numpy-int", "numpy-ints", "row", "int32-row"])
+    def test_integer_pairs_give_the_array_graph(self, build, edges):
+        want = build(3, np.array([[1, 2]]))
+        got = build(3, edges)
+        assert got == want and repr(got) == repr(want)
+
+    @pytest.mark.parametrize("p", [0, -1, 2.5, 3.0, np.float64(3), "3", True, None], ids=repr)
+    def test_vertex_count_must_be_a_positive_integer(self, build, p):
+        message = f"vertex count must be a positive integer, got {p!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build(p, [(1, 2)])
+
+    def test_numpy_vertex_count_becomes_a_python_int(self, build):
+        # Kept as numpy, a uint64 p makes float pair codes and uint8(255) + 1 wraps.
+        for p in (np.int64(3), np.uint64(3), np.uint8(255)):
+            got = build(p, [(1, 2)])
+            assert got == build(int(p), [(1, 2)]) and type(got.p) is int
 
 
 class TestEdgeArrayWalkOracle:

@@ -454,7 +454,8 @@ _QR_BYTES_CHECK = """
 import sys
 import numpy as np
 from dagonion.metrics import _qr_r_inplace
-for n, p in [(2, 1), (61, 60), (1000, 100), (1000, 800)]:
+# The square cases are the learners' p x p factorizations.
+for n, p in [(2, 1), (61, 60), (1000, 100), (1000, 800), (6, 6), (20, 20), (100, 100), (400, 400)]:
     X = np.asfortranarray(np.random.default_rng(n + p).standard_normal((n, p)))
     want = np.linalg.qr(X, mode="r")
     got = _qr_r_inplace(X)
@@ -473,7 +474,8 @@ class TestQrInPlace:
             env={**os.environ, **threads, "PYTHONPATH": str(src)}, check=True,
         )
         assert proc.stdout.split() == [
-            "2x1:True", "61x60:True", "1000x100:True", "1000x800:True"
+            "2x1:True", "61x60:True", "1000x100:True", "1000x800:True",
+            "6x6:True", "20x20:True", "100x100:True", "400x400:True",
         ]
 
     @settings(max_examples=60)

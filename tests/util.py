@@ -748,8 +748,8 @@ def parent_list_cov_to_dag(g: Dag, sigma: np.ndarray) -> SemParameters:
 
 
 def loop_int_pairs(raw, where: str) -> list[tuple[int, int]]:
-    """The pairs of ``fileio._pair_array`` as tuples, from one check call
-    per pair: its oracle."""
+    """The pairs of a JSON edge list that the graph file readers accept, as
+    tuples, from one check call per pair: their oracle."""
 
     def require(cond: bool, msg: str) -> None:
         if not cond:
