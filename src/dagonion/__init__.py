@@ -15,11 +15,10 @@ from .errors import (
     SingularParentBlockError,
     ZeroVarianceColumnError,
 )
-from .graph import Dag, er_dag, sfi_rewire, sfo_rewire, shuffle_labels, source_first_order
+from .graph import Dag, Pdag, er_dag, sfi_rewire, sfo_rewire, shuffle_labels, source_first_order
 from .metrics import (
     ConfusionCounts,
     PairCounts,
-    Pdag,
     PrecisionRecall,
     compare_graphs,
     population_r2,

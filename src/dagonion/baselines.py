@@ -22,9 +22,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from .graph import Pdag
 from .metrics import (
-    Pdag, _data_factor, _qr_r_inplace, _require_pivots, _sample_r2_from_factor,
-    varsortability_scores,
+    _data_factor, _qr_r_inplace, _require_pivots, _sample_r2_from_factor, varsortability_scores,
 )
 from .simdata import Dataset
 

@@ -307,27 +307,25 @@ def _run_reps(tasks: list[tuple]) -> list[list[float] | None]:
     return results
 
 
-def _parse_list(text: str, kind, what: str) -> list:
+def _parse_list(text: str, kind, what: str, allowed: tuple | None = None) -> list:
+    """The comma-separated items of ``text`` as ``kind``, each in ``allowed`` if given."""
     try:
         items = [kind(tok) for tok in text.split(",") if tok]
     except ValueError as exc:
         raise ValueError(f"bad {what} list {text!r}: {exc}") from None
     if not items:
         raise ValueError(f"empty {what} list")
+    for item in items:
+        if allowed is not None and item not in allowed:
+            raise ValueError(f"unknown {what} {item!r}; choose from {allowed}")
     return items
 
 
 def cmd_bench(args) -> list[Path]:
     p_list = _parse_list(args.p_list, int, "vertex-count")
     n_list = _parse_list(args.sample_sizes, int, "sample-size")
-    shapes = _parse_list(args.shapes, str, "shape")
-    methods = _parse_list(args.methods, str, "method")
-    for s in shapes:
-        if s not in SHAPES:
-            raise ValueError(f"unknown shape {s!r}; choose from {SHAPES}")
-    for m in methods:
-        if m not in BENCH_METHODS:
-            raise ValueError(f"unknown method {m!r}; choose from {BENCH_METHODS}")
+    shapes = _parse_list(args.shapes, str, "shape", SHAPES)
+    methods = _parse_list(args.methods, str, "method", BENCH_METHODS)
     if args.reps < 1:
         raise ValueError(f"need at least one replication, got --reps {args.reps}")
     _require_threshold(args.threshold)

@@ -27,8 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import SchemaError
-from .graph import Dag, _is_integer
-from .metrics import Pdag
+from .graph import Dag, Pdag, _is_integer
 from .sem import SemParameters
 from .simdata import Dataset
 from .workers import ordered_map

@@ -1,4 +1,4 @@
-"""Random DAG generation, rewiring, and vertex orderings.
+"""The DAG and PDAG types, random DAG generation, rewiring, and vertex orderings.
 
 Vertices are labeled 1..p. An edge is an ordered pair ``(parent, child)``.
 The samplers in this module return graphs whose edges all point from a
@@ -19,6 +19,7 @@ from .errors import CyclicGraphError
 
 __all__ = [
     "Dag",
+    "Pdag",
     "er_dag",
     "sfi_rewire",
     "sfo_rewire",
@@ -46,15 +47,52 @@ class Dag:
     _order: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "p", _vertex_count(self.p))
-        ends, _ = _sorted_pairs(_edge_array(self.edges, self.p), self.p)  # raises on a bad label
-        object.__setattr__(self, "edges", frozenset(zip(*ends.T.tolist())))
+        p = _vertex_count(self.p)
+        ends, _, edges = _sorted_pairs(_edge_array(self.edges, p), p)  # raises on a bad label
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "_ends", ends)
-        object.__setattr__(self, "_order", _walk_source_first(self.p, ends))
+        object.__setattr__(self, "_order", _walk_source_first(p, ends))
 
     @property
     def num_edges(self) -> int:
         return len(self.edges)
+
+
+@dataclass(frozen=True)
+class Pdag:
+    """A partially directed graph: directed plus undirected edges.
+
+    ``directed`` holds (parent, child) pairs; ``undirected`` holds unordered
+    pairs. Each is an iterable of pairs or an (m, 2) integer array, checked,
+    like p, as a Dag's are. Construction builds each frozenset once, as a
+    Dag's, of Python-int tuples with undirected pairs as (min, max); it
+    keeps the sorted codes of both outside eq, hash and repr. It also raises
+    ValueError for a pair in both directions of ``directed``, or a pair in
+    both sets (in either orientation). Full equivalence-class semantics are
+    not enforced; this is a container for estimated structures.
+    """
+
+    p: int
+    directed: frozenset[tuple[int, int]] = field(default_factory=frozenset)
+    undirected: frozenset[tuple[int, int]] = field(default_factory=frozenset)
+    _directed_codes: np.ndarray = field(init=False, repr=False, compare=False)
+    _undirected_codes: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        p = _vertex_count(self.p)
+        d, dcode, directed = _sorted_pairs(_edge_array(self.directed, p), p)
+        _, ucode, undirected = _sorted_pairs(np.sort(_edge_array(self.undirected, p), axis=1), p)
+        if len(np.intersect1d(dcode, _codes(d[:, ::-1], p), assume_unique=True)):
+            raise ValueError("a pair appears in both directions of directed")
+        # With no pair in both directions, the (min, max) codes are unique too.
+        if len(np.intersect1d(_codes(np.sort(d, axis=1), p), ucode, assume_unique=True)):
+            raise ValueError("a pair appears in both directed and undirected sets")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "directed", directed)
+        object.__setattr__(self, "undirected", undirected)
+        object.__setattr__(self, "_directed_codes", dcode)
+        object.__setattr__(self, "_undirected_codes", ucode)
 
 
 def _parent_slices(g: Dag, rank: np.ndarray) -> tuple[list[int], np.ndarray]:
@@ -176,7 +214,8 @@ def _edge_array(edges, p: int) -> np.ndarray:
     """The (m, 2) int64 array of the (a, b) pairs in ``edges``, an (m, 2)
     integer array or an iterable of pairs, in the given order. Raises
     ValueError unless every item is a list, tuple or 1-d array of two
-    integer labels a != b in 1..p. Three C-level scans accept lists and
+    integer labels a != b in 1..p; input that is neither an array nor an
+    iterable is one bad item. Three C-level scans accept lists and
     tuples of Python ints; only when they fail does a loop run, which checks
     every item and names the first bad one."""
     if isinstance(edges, np.ndarray):
@@ -184,7 +223,7 @@ def _edge_array(edges, p: int) -> np.ndarray:
             raise ValueError(f"edge array must be (m, 2) integer, not {edges.dtype} {edges.shape}")
         ends = edges.astype(np.int64, copy=False)  # an unsigned label past int64 wraps below 1
     else:
-        items = list(edges)
+        items = list(edges) if np.iterable(edges) else [edges]
         if not (set(map(type, items)) <= {list, tuple} and set(map(len, items)) <= {2}
                 and set(map(type, chain.from_iterable(items))) <= {int}):  # bool is not int
             for item in items:
@@ -206,14 +245,15 @@ def _edge_array(edges, p: int) -> np.ndarray:
     return ends
 
 
-def _sorted_pairs(ends: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """The rows of ``ends`` by ascending code without repeats, and their codes; read-only."""
+def _sorted_pairs(ends: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, frozenset]:
+    """The rows of ``ends`` by ascending code without repeats and their codes,
+    both read-only, and the frozenset of those rows as Python-int tuples."""
     code = _codes(ends, p)
     order = np.argsort(code)
     order = order[np.diff(code[order], prepend=-1) != 0]  # codes are positive
     ends, code = ends[order], code[order]
     ends.flags.writeable = code.flags.writeable = False
-    return ends, code
+    return ends, code, frozenset(zip(*ends.T.tolist()))
 
 
 def _codes(ends: np.ndarray, p: int) -> np.ndarray:

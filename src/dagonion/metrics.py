@@ -18,16 +18,15 @@ false positive a spurious directed edge earns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import RankDeficientDataError, SingularMatrixError
-from .graph import Dag, _codes, _edge_array, _sorted_pairs, _vertex_count
+from .graph import Dag, Pdag, _codes
 from .simdata import Dataset
 
 __all__ = [
-    "Pdag",
     "PairCounts",
     "ConfusionCounts",
     "PrecisionRecall",
@@ -38,42 +37,6 @@ __all__ = [
     "sortability_rank_corr",
     "varsortability_scores",
 ]
-
-
-@dataclass(frozen=True)
-class Pdag:
-    """A partially directed graph: directed plus undirected edges.
-
-    ``directed`` holds (parent, child) pairs; ``undirected`` holds unordered
-    pairs. Each is an iterable of pairs or an (m, 2) integer array, checked,
-    like p, as a Dag's are. Construction builds each frozenset once, from its
-    edge array, of Python-int tuples with undirected pairs as (min, max); it
-    keeps the sorted codes of both outside eq, hash and repr. It also raises
-    ValueError for a pair in both directions of ``directed``, or a pair in
-    both sets (in either orientation). Full equivalence-class semantics are
-    not enforced; this is a container for estimated structures.
-    """
-
-    p: int
-    directed: frozenset[tuple[int, int]] = field(default_factory=frozenset)
-    undirected: frozenset[tuple[int, int]] = field(default_factory=frozenset)
-    _directed_codes: np.ndarray = field(init=False, repr=False, compare=False)
-    _undirected_codes: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        p = _vertex_count(self.p)
-        object.__setattr__(self, "p", p)
-        d, dcode = _sorted_pairs(_edge_array(self.directed, p), p)
-        u, ucode = _sorted_pairs(np.sort(_edge_array(self.undirected, p), axis=1), p)
-        if len(np.intersect1d(dcode, _codes(d[:, ::-1], p), assume_unique=True)):
-            raise ValueError("a pair appears in both directions of directed")
-        # With no pair in both directions, the (min, max) codes are unique too.
-        if len(np.intersect1d(_codes(np.sort(d, axis=1), p), ucode, assume_unique=True)):
-            raise ValueError("a pair appears in both directed and undirected sets")
-        object.__setattr__(self, "directed", frozenset(zip(*d.T.tolist())))
-        object.__setattr__(self, "undirected", frozenset(zip(*u.T.tolist())))
-        object.__setattr__(self, "_directed_codes", dcode)
-        object.__setattr__(self, "_undirected_codes", ucode)
 
 
 @dataclass(frozen=True)

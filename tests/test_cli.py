@@ -1,6 +1,7 @@
 import json
 import multiprocessing as mp
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -191,6 +192,20 @@ class TestSimulate:
         assert "error[io]" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_string_in_B_is_one_line_schema_error(self, tmp_path, capsys):
+        model = self._model(tmp_path)
+        raw = read_json(model)
+        raw["B"][1][0] = "x"
+        model.write_text(json.dumps(raw))
+        out = tmp_path / "x.csv"
+        capsys.readouterr()
+        assert run("simulate", "--model", model, "--n", 10,
+                   "--seed", 3, "--out", out) == 4
+        assert capsys.readouterr().err == (
+            f"error[io]: {model}: non-numeric matrix entries "
+            "(could not convert string to float: 'x')\n")
+        assert not out.exists()
+
     def test_overflowing_data_is_numerical_error(self, tmp_path, capsys):
         # Finite but huge coefficients load fine; the data then overflow.
         model = self._model(tmp_path)
@@ -318,6 +333,29 @@ class TestEval:
         out, err = capsys.readouterr()
         assert out == "" and err == f"error[io]: {data}: no data rows\n"
 
+    def test_data_width_must_match_the_graph(self, tmp_path, capsys):
+        graph = gen_graph(tmp_path, p=4, deg=2)
+        data = tmp_path / "d.csv"
+        data.write_text("X1,X2,X3\n1,2,3\n4,5,7\n")
+        assert run("eval", "--true-graph", graph, "--data", data) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error[usage]: data has 3 columns but the true graph has 4 vertices\n"
+
+    @pytest.mark.parametrize("text, message", [
+        ("", r"empty file"),
+        ("X1,X2,X3\na,1,2\n", r"bad CSV \(.+\)"),
+        ("X1,X2,X3\nnan,1,2\n3,4,5\n", r"dataset contains non-finite entries"),
+    ], ids=["empty", "not-a-number", "nan"])
+    def test_unreadable_data_is_one_line_schema_error(self, tmp_path, capsys, text, message):
+        graph = gen_graph(tmp_path, p=3, deg=1)
+        data = tmp_path / "d.csv"
+        data.write_text(text)
+        assert run("eval", "--true-graph", graph, "--data", data) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert re.fullmatch(rf"error\[io\]: {re.escape(str(data))}: {message}\n", err)
+
 
 # The grid of TestBench.test_seed_meaning_matches_golden_table.
 GOLDEN_GRID = ("bench", "--reps", 2, "--p-list", "6,12", "--avg-degree", 3,
@@ -397,8 +435,7 @@ class TestBench:
                 post_init(obj)
             return wrapper
 
-        for module in (graph, metrics):
-            monkeypatch.setattr(module, "_edge_array", counted_edge_array)
+        monkeypatch.setattr(graph, "_edge_array", counted_edge_array)
         monkeypatch.setattr(cli, "compare_graphs", flagged_compare)
         monkeypatch.setattr(Dag, "__post_init__", counted("dags", dag_init))
         monkeypatch.setattr(Pdag, "__post_init__", counted("pdags", pdag_init))
@@ -614,6 +651,19 @@ class TestBench:
             err = capsys.readouterr().err
             assert err == f"error[usage]: every vertex count must be at least 1, got {low}\n"
             assert not out.exists()
+
+    @pytest.mark.parametrize("option, value, message", [
+        ("--shapes", "er,foo", "unknown shape 'foo'; choose from ('er', 'sfi', 'sfo', 'sf-both')"),
+        ("--p-list", "5,x",
+         "bad vertex-count list '5,x': invalid literal for int() with base 10: 'x'"),
+        ("--p-list", ",", "empty vertex-count list"),
+    ], ids=["shape", "bad-p", "empty-p"])
+    def test_bad_list_is_one_line_usage_error(self, tmp_path, capsys, option, value, message):
+        out = tmp_path / "x.csv"
+        assert run("bench", "--reps", 1, "--p-list", 5, "--avg-degree", 2,
+                   "--sample-sizes", 100, "--seed", 1, "--out", out, option, value) == 2
+        assert capsys.readouterr().err == f"error[usage]: {message}\n"
+        assert not out.exists()
 
     def test_rejects_unknown_method(self, tmp_path):
         assert run("bench", "--reps", 1, "--p-list", 5, "--avg-degree", 2,

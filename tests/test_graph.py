@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+import dagonion
 from dagonion import (
     CyclicGraphError,
     Dag,
@@ -17,6 +18,7 @@ from dagonion import (
     shuffle_labels,
     source_first_order,
 )
+from dagonion import graph, metrics
 from dagonion.graph import _parent_slices
 from util import (
     GRAPH_KINDS,
@@ -180,6 +182,11 @@ class TestArrayInput:
             Dag(3, np.array([[1, 2], [2, 3], [3, 1]]))
 
 
+def test_pdag_is_one_class_in_graph():
+    assert dagonion.Pdag is graph.Pdag is metrics.Pdag
+    assert "Pdag" in graph.__all__ and "Pdag" not in metrics.__all__
+
+
 _BUILDERS = {
     "dag": lambda p, e: Dag(p, e),
     "pdag-directed": lambda p, e: Pdag(p, e),
@@ -210,6 +217,12 @@ class TestEdgeRule:
     ], ids=lambda x: " ".join(repr(x).split())[:32])
     def test_names_the_first_bad_item(self, build, edges, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build(3, edges)
+
+    @pytest.mark.parametrize("edges", [None, 7, 2.5, np.int64(1)], ids=repr)
+    def test_non_iterable_input_is_one_bad_item(self, build, edges):
+        # Not a TypeError from list(edges); the pdag-undirected case is Pdag(3, (), None).
+        with pytest.raises(ValueError, match=f"^{re.escape(f'bad pair {edges!r}')}$"):
             build(3, edges)
 
     @pytest.mark.parametrize("edges", [

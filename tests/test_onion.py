@@ -235,3 +235,39 @@ class TestDaoProperties:
         back = cov_to_dag(g, R)
         assert np.max(np.abs(back.B - params.B)) <= 1e-9
         assert np.max(np.abs(back.omega - params.omega)) <= 1e-9
+
+
+class TestDaoLaw:
+    """The law of dao_sample beyond the small graphs of criteria 01-03, over
+    pooled draws at fixed seeds, with criterion 05's p-value floor."""
+
+    def test_error_variances_follow_their_beta_laws(self):
+        # A vertex at walk position i (from 0) with k >= 1 parents has
+        # 1 - omega = w . w ~ Beta(k/2, (p - i)/2 + 1/2), independently over
+        # vertices and draws, so its beta CDF values are iid uniform.
+        rng = np.random.default_rng(801)
+        p, u = 50, []
+        for _ in range(200):
+            g = sfi_rewire(er_dag(p, 10, rng), rng)
+            _, params = dao_sample(g, rng)
+            ends = np.array(sorted(g.edges)) - 1
+            k = np.bincount(ends[:, 1], minlength=p)
+            position = np.empty(p)
+            position[np.array(source_first_order(g)) - 1] = np.arange(p)
+            has = k > 0
+            u.append(stats.beta.cdf(1.0 - params.omega[has], k[has] / 2.0,
+                                    (p - position[has]) / 2.0 + 0.5))
+        u = np.concatenate(u)
+        assert len(u) > 5000
+        assert stats.kstest(u, "uniform").pvalue > 0.001
+
+    def test_complete_graph_correlations_follow_the_onion_marginal(self):
+        # On the complete graph DaO is the onion method: (r + 1)/2 ~
+        # Beta(p/2, p/2) for every pair; first, last and mixed pairs here.
+        p = 10
+        g = Dag(p, [(a, b) for a in range(1, p + 1) for b in range(a + 1, p + 1)])
+        rng = np.random.default_rng(802)
+        draws = np.array([dao_sample(g, rng)[0] for _ in range(3000)])
+        for a, b in ((1, 2), (9, 10), (1, 10)):
+            x = (draws[:, a - 1, b - 1] + 1.0) / 2.0
+            assert stats.kstest(x, stats.beta(p / 2, p / 2).cdf).pvalue > 0.001, (a, b)
