@@ -40,7 +40,7 @@ def sort_regress(d: Dataset, scores: np.ndarray, threshold: float) -> Pdag:
     n <= p or a column is constant, then ValueError for a negative or NaN
     threshold, then RankDeficientDataError for collinear predecessors.
     """
-    return _sort_regress_from_factor(d, _data_factor(d), scores, threshold)
+    return _sort_regress_from_factor(d.n, _data_factor(d), scores, threshold)
 
 
 def _require_threshold(threshold: float) -> None:
@@ -49,9 +49,10 @@ def _require_threshold(threshold: float) -> None:
 
 
 def _sort_regress_from_factor(
-    d: Dataset, R: np.ndarray, scores: np.ndarray, threshold: float
+    n: int, R: np.ndarray, scores: np.ndarray, threshold: float
 ) -> Pdag:
-    """sort_regress from the data factor R of ``_data_factor(d)``."""
+    """sort_regress from the p x p data factor R of ``_data_factor(d)``,
+    with n = ``d.n``."""
     from scipy.linalg import solve_triangular
 
     _require_threshold(threshold)
@@ -59,12 +60,12 @@ def _sort_regress_from_factor(
     order = np.argsort(scores, kind="stable")
     S = _qr_r_inplace(R.T[order].T)  # a Fortran-ordered copy of R[:, order]
     # The last column is never a predecessor, so its pivot is not checked.
-    _require_pivots(np.abs(np.diag(S))[:-1], d.n, "predecessor")
+    _require_pivots(np.abs(np.diag(S))[:-1], n, "predecessor")
     # coef[j, k] is the coefficient of sorted column j (< k) in the fit of k;
     # entries with j >= k are exactly zero.
     coef = solve_triangular(S[:-1, :-1], np.triu(S, 1)[:-1])
     src, dst = np.nonzero(np.abs(coef) > threshold)
-    return Pdag(d.p, np.column_stack((order[src], order[dst])) + 1)
+    return Pdag(len(R), np.column_stack((order[src], order[dst])) + 1)
 
 
 def var_sort_regress(d: Dataset, threshold: float = DEFAULT_THRESHOLD) -> Pdag:
@@ -82,4 +83,4 @@ def r2_sort_regress(d: Dataset, threshold: float = DEFAULT_THRESHOLD) -> Pdag:
     """
     R = _data_factor(d)
     r2 = _sample_r2_from_factor(R, d.n)
-    return _sort_regress_from_factor(d, R, r2, threshold)
+    return _sort_regress_from_factor(d.n, R, r2, threshold)

@@ -263,13 +263,17 @@ def _bench_rep(task: tuple) -> list[float] | None:
         R, params = make_model(g, method, rng)
         idx = _causal_index(source_first_order(g))
         rep_vals = [sortability_rank_corr(population_r2(R), idx, largest_first=True)]
+        # Each full-size array goes once its last stage is done.
+        del R
         data = simulate(params, error_kind, n, rng)
+        del params
         factor = _data_factor(data)  # serves sample R^2 and both learners
         r2, var = _sample_r2_from_factor(factor, n), varsortability_scores(data)
+        del data
         for scores in (r2, var):
             rep_vals.append(sortability_rank_corr(scores, idx, largest_first=True))
         for scores in (var, r2):
-            est = _sort_regress_from_factor(data, factor, scores, threshold)
+            est = _sort_regress_from_factor(n, factor, scores, threshold)
             pr = precision_recall(compare_graphs(g, est))
             rep_vals.extend(astuple(pr))
     except NumericalError:

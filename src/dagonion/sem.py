@@ -100,12 +100,19 @@ def implied_covariance(params: SemParameters) -> np.ndarray:
 
     p = params.g.p
     order = np.asarray(source_first_order(params.g), dtype=np.intp) - 1
-    Bp = params.B[np.ix_(order, order)]
+    # At most three p x p arrays are alive at once: each temporary goes as
+    # soon as the next exists.
+    ImB = np.eye(p)
+    ImB -= params.B[np.ix_(order, order)]
+    # A Fortran-ordered right-hand side is solved in place.
     A = solve_triangular(
-        np.eye(p) - Bp, np.eye(p), lower=True, unit_diagonal=True
+        ImB, np.eye(p, order="F"), lower=True, unit_diagonal=True, overwrite_b=True
     )
+    del ImB
     S = (A * params.omega[order]) @ A.T
-    S = (S + S.T) / 2.0
+    del A
+    S = S + S.T
+    S /= 2.0
     pos = np.argsort(order)
     return S[np.ix_(pos, pos)]
 
@@ -121,7 +128,8 @@ def cov_to_corr(sigma: np.ndarray) -> np.ndarray:
             "covariance matrix has a nonpositive diagonal entry"
         )
     s = 1.0 / np.sqrt(d)
-    R = sigma * np.outer(s, s)
+    R = np.outer(s, s)
+    R *= sigma
     np.fill_diagonal(R, 1.0)
     return R
 

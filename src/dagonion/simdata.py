@@ -13,6 +13,7 @@ from .sem import SemParameters
 __all__ = ["Dataset", "simulate", "standardize_data"]
 
 ERROR_KINDS = ("gaussian", "exponential")
+_BLOCK = 256  # columns of simulate's output filled per row gather
 
 
 @dataclass
@@ -93,10 +94,13 @@ def simulate(
             W[j] += coef[a:b] @ W[prow[a:b]]
     if not np.isfinite(W).all():
         raise NumericalError("simulated data overflowed to non-finite values")
-    # A row gather, then one transposing copy into a C-ordered n x p array
-    # (faster than a column gather): column means, and with them
-    # the bench tables, depend on the memory layout in the last bit.
-    X = np.ascontiguousarray(W[pos].T)
+    # C-ordered, as column means, and with them the bench tables, depend on
+    # the memory layout in the last bit. Filled _BLOCK columns at a time
+    # from row gathers of W, so that no full-size temporary is made.
+    X = np.empty((n, p))
+    for c in range(0, p, _BLOCK):
+        X[:, c:c + _BLOCK] = W[pos[c:c + _BLOCK]].T
+    del W
     names = tuple(f"X{j}" for j in range(1, p + 1))
     meta = {
         "n": n,

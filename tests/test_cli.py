@@ -16,7 +16,7 @@ from dagonion import cli, graph, metrics, workers
 from dagonion.cli import main
 from dagonion.errors import SchemaError
 from dagonion.fileio import read_dataset, read_json
-from util import corrcoef_sample_r2, lstsq_sample_r2
+from util import corrcoef_sample_r2, lstsq_sample_r2, traced_peak
 
 # The bench table recorded for the seed-11 grid of
 # TestBench.test_seed_meaning_matches_golden_table.
@@ -446,6 +446,15 @@ class TestBench:
         # Per replication er builds one Dag, sfi two; each learner one Pdag.
         dags, pdags = 2 * 2 * (1 + 2), 2 * 2 * 2 * 2
         assert counts == dict(arrays=dags + 2 * pdags, in_compare=0, dags=dags, pdags=pdags)
+
+    @pytest.mark.parametrize("method", ["dao", "zarx-std"])
+    def test_replication_memory_budget(self, method):
+        # Each full-size array goes when its last stage ends: one
+        # replication peaks at about 2.8 (dao) and 3.0 (zarx-std) times the
+        # data's size here.
+        p, n = 1000, 2000
+        task = (p, "sfi", method, n, 4.0, 0.1, "gaussian", 3, 0, 0)
+        assert traced_peak(cli._bench_rep, task) < 3.5 * 8 * n * p
 
     def test_seed_meaning_matches_golden_table(self, tmp_path):
         # What seed 11 means: the table this grid gave when it was recorded.

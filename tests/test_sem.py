@@ -24,14 +24,20 @@ from dagonion import (
     tetrad_params,
     zarx_params,
 )
+from dagonion import sem
 from dagonion.cli import _apply_shape, _rng
 from util import (
     GRAPH_KINDS,
+    assert_same_bytes,
+    dense_implied_covariance,
     edge_loop_tetrad_params,
     edge_loop_zarx_params,
     kind_graph,
+    method_params,
     parent_list_cov_to_dag,
+    product_cov_to_corr,
     refit_standardize,
+    traced_peak,
 )
 
 CHAIN2 = Dag(2, frozenset({(1, 2)}))
@@ -177,6 +183,50 @@ class TestImpliedCovariance:
             g = er_dag(10, 3, rng)
             R, params = dao_sample(g, rng)
             assert np.max(np.abs(implied_covariance(params) - R)) < 1e-10
+
+    def test_memory_budget(self):
+        # At most three p x p arrays at once.
+        rng = np.random.default_rng(12)
+        p = 1000
+        params = zarx_params(sfi_rewire(er_dag(p, 4, rng), rng), rng)
+        assert traced_peak(implied_covariance, params) < 3.5 * 8 * p * p
+
+
+def _numerical_outcome(f, *args):
+    """``f(*args)``, or the message of the NumericalError it raised."""
+    try:
+        return f(*args)
+    except NumericalError as exc:
+        return str(exc)
+
+
+class TestDenseOracle:
+    """``implied_covariance``, and with it ``cov_to_corr`` and
+    ``standardize``, give the bytes of the path that kept every p x p
+    temporary."""
+
+    @pytest.mark.parametrize("kind", GRAPH_KINDS)
+    def test_same_bytes(self, kind, monkeypatch):
+        rng = np.random.default_rng(GRAPH_KINDS.index(kind))
+        for p, method, shuffle in product((1, 2, 17, 120, 300), ("dao", "zarx", "tetrad"),
+                                          (False, True)):
+            g = kind_graph(kind, p, rng)
+            if shuffle:
+                g, _ = shuffle_labels(g, rng)
+            params = method_params(method, g, rng)
+            sigma = implied_covariance(params)
+            want = dense_implied_covariance(params)
+            assert_same_bytes((sigma, want), (cov_to_corr(sigma), product_cov_to_corr(want)))
+            assert sigma.flags.c_contiguous
+            # Dense zarx and tetrad models are too ill-conditioned to standardize.
+            std = _numerical_outcome(standardize, params)
+            with monkeypatch.context() as m:
+                m.setattr(sem, "implied_covariance", dense_implied_covariance)
+                want_std = _numerical_outcome(standardize, params)
+            if isinstance(want_std, str):
+                assert std == want_std
+            else:
+                assert_same_bytes((std.B, want_std.B), (std.omega, want_std.omega))
 
 
 class TestCovToCorr:

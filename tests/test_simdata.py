@@ -20,7 +20,15 @@ from dagonion import (
     tetrad_params,
     zarx_params,
 )
-from util import GRAPH_KINDS, assert_same_bytes, column_loop_simulate, kind_graph, row_loop_simulate
+from util import (
+    GRAPH_KINDS,
+    assert_same_bytes,
+    column_loop_simulate,
+    kind_graph,
+    method_params,
+    row_loop_simulate,
+    traced_peak,
+)
 
 
 def _independent_params(p=5):
@@ -84,6 +92,14 @@ class TestSimulate:
         d2 = simulate(params, "gaussian", 50, np.random.default_rng(42))
         assert np.array_equal(d1.values, d2.values)
 
+    def test_memory_budget(self):
+        # The p x n draw, the n x p result and one 256-column block: about
+        # 2.26 times the result's size at this p and n.
+        rng = np.random.default_rng(11)
+        p, n = 1000, 1500
+        params = tetrad_params(sfi_rewire(er_dag(p, 4, rng), rng), rng)
+        assert traced_peak(simulate, params, "exponential", n, rng) < 2.5 * 8 * n * p
+
     def test_metadata(self):
         d = simulate(_independent_params(2), "exponential", 5, np.random.default_rng(8))
         assert d.meta["error"] == "exponential"
@@ -106,12 +122,6 @@ def _graph(kind: str, rng: np.random.Generator) -> Dag:
     return Dag(1, frozenset())  # "p1"
 
 
-def _params(method: str, g: Dag, rng: np.random.Generator) -> SemParameters:
-    if method == "dao":
-        return dao_sample(g, rng)[1]
-    return (zarx_params if method == "zarx" else tetrad_params)(g, rng)
-
-
 def _assert_matches_oracle(params, kind, n, seed):
     rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     values = simulate(params, kind, n, rng).values
@@ -130,7 +140,7 @@ class TestColumnLoopOracle:
     @pytest.mark.parametrize("kind", ["gaussian", "exponential"])
     def test_matches_oracle(self, graph, method, kind):
         rng = np.random.default_rng(20)
-        params = _params(method, _graph(graph, rng), rng)
+        params = method_params(method, _graph(graph, rng), rng)
         for n in (1, 7, 500):
             _assert_matches_oracle(params, kind, n, seed=n)
 
@@ -153,7 +163,7 @@ class TestColumnLoopOracle:
     def test_property_matches_oracle(self, p, frac, seed, method, kind, n):
         rng = np.random.default_rng(seed)
         g, _ = shuffle_labels(er_dag(p, frac * (p - 1), rng), rng)
-        _assert_matches_oracle(_params(method, g, rng), kind, n, seed + 1)
+        _assert_matches_oracle(method_params(method, g, rng), kind, n, seed + 1)
 
 
 class TestRowLoopOracle:
@@ -170,11 +180,25 @@ class TestRowLoopOracle:
     )
     def test_same_bytes_and_draws(self, graph, p, seed, method, kind, n):
         rng = np.random.default_rng(seed)
-        params = _params(method, kind_graph(graph, p, rng), rng)
+        params = method_params(method, kind_graph(graph, p, rng), rng)
         fast, slow = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
         values = simulate(params, kind, n, fast).values
         assert_same_bytes((values, row_loop_simulate(params, kind, n, slow)))
         assert fast.bit_generator.state == slow.bit_generator.state
+
+    @pytest.mark.parametrize("p", [255, 256, 257, 600])
+    @pytest.mark.parametrize("kind", ["gaussian", "exponential"])
+    def test_column_block_edges(self, p, kind):
+        # The output is filled 256 columns at a time: one block, one block
+        # and a column, and a partial third block.
+        rng = np.random.default_rng(p)
+        g, _ = shuffle_labels(sfi_rewire(er_dag(p, 4, rng), rng), rng)
+        params = tetrad_params(g, rng)
+        fast, slow = np.random.default_rng(24), np.random.default_rng(24)
+        values = simulate(params, kind, 30, fast).values
+        assert_same_bytes((values, row_loop_simulate(params, kind, 30, slow)))
+        assert fast.bit_generator.state == slow.bit_generator.state
+        assert values.flags.c_contiguous
 
     def test_negative_zero_draws(self):
         # Every source's -0.0 becomes 0.0, as adding an empty parent sum did.

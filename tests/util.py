@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 import json
+import tracemalloc
 from collections import Counter
 from itertools import combinations, product
 
@@ -215,13 +216,16 @@ def data_qr_sort_regress(d: Dataset, scores: np.ndarray, threshold: float) -> Pd
     return Pdag(d.p, edges, frozenset())
 
 
+def method_params(method: str, g: Dag, rng: np.random.Generator) -> SemParameters:
+    """A dao, zarx or tetrad model of ``g``."""
+    if method == "dao":
+        return dao_sample(g, rng)[1]
+    return (zarx_params if method == "zarx" else tetrad_params)(g, rng)
+
+
 def model_data(method: str, g: Dag, n: int, rng: np.random.Generator) -> Dataset:
     """Gaussian data of size n from a dao, zarx or tetrad model of ``g``."""
-    if method == "dao":
-        _, params = dao_sample(g, rng)
-    else:
-        params = (zarx_params if method == "zarx" else tetrad_params)(g, rng)
-    return simulate(params, "gaussian", n, rng)
+    return simulate(method_params(method, g, rng), "gaussian", n, rng)
 
 
 def with_column(vals: np.ndarray, col: np.ndarray, first: bool) -> np.ndarray:
@@ -390,6 +394,47 @@ def list_sfo_rewire(g: Dag, rng: np.random.Generator) -> Dag:
             edges.append((j, i))
             out_deg[j - 1] += 1.0
     return Dag(g.p, frozenset(edges))
+
+
+def dense_implied_covariance(params: SemParameters) -> np.ndarray:
+    """``implied_covariance`` with every p x p temporary alive until the
+    function returns (four to five at once): the byte-identity oracle for
+    it, which drops each one as soon as the next exists."""
+    p = params.g.p
+    order = np.asarray(source_first_order(params.g), dtype=np.intp) - 1
+    Bp = params.B[np.ix_(order, order)]
+    A = linalg.solve_triangular(
+        np.eye(p) - Bp, np.eye(p), lower=True, unit_diagonal=True
+    )
+    S = (A * params.omega[order]) @ A.T
+    S = (S + S.T) / 2.0
+    pos = np.argsort(order)
+    return S[np.ix_(pos, pos)]
+
+
+def product_cov_to_corr(sigma: np.ndarray) -> np.ndarray:
+    """``cov_to_corr`` as sigma times a fresh outer product of the inverse
+    standard deviations: the byte-identity oracle for it, which multiplies
+    sigma into the outer product in place."""
+    s = 1.0 / np.sqrt(np.diag(sigma))
+    R = sigma * np.outer(s, s)
+    np.fill_diagonal(R, 1.0)
+    return R
+
+
+def traced_peak(f, *args) -> int:
+    """The most bytes that ``tracemalloc`` sees allocated at once while
+    ``f(*args)`` runs, its result included, beyond those allocated before."""
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        f(*args)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
 
 
 def refit_standardize(params: SemParameters) -> SemParameters:
