@@ -11,7 +11,10 @@ All JSON layouts used by the command-line tools live here:
   line endings, plus a ``<stem>.meta.json`` sidecar.
 
 Writers go through a write-temp-then-rename step so a crash never leaves a
-half-written file, and serialization is deterministic byte for byte.
+half-written file, and serialization is deterministic byte for byte. They
+stream: ``write_json`` writes its text part by part, numpy arrays in row
+blocks, and ``write_dataset`` chunk by chunk. ``graph_to_dict`` and
+``model_to_dict`` hold the edge array and the matrices as numpy arrays.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -71,49 +74,81 @@ def atomic_write_text(path: str | Path, text: str | Iterable[str]) -> None:
 
 
 _NUMBER = (int, float)  # exact types: bool is a subclass of int
+_BLOCK_VALUES = 1 << 15  # about this many array values are formatted at once
 
 
 def _is_number_list(v) -> bool:
     return type(v) is list and len(v) > 0 and all(type(x) in _NUMBER for x in v)
 
 
-def _json_value(v, indent: str) -> str:
-    """``v`` as ``json.dumps(v, indent=2)`` lays it out at nesting ``indent``.
+def _json_parts(v, indent: str) -> Iterator[str]:
+    """The text parts of ``v`` as ``json.dumps(v, indent=2,
+    default=np.ndarray.tolist)`` lays it out at nesting ``indent``.
 
-    Lists of numbers and lists of lists of numbers, the bulk of graph and
-    model files, go through the C encoder's compact form, re-indented by
-    replacing its separators: number tokens contain neither ``, `` nor
-    ``], [``. Dicts with only str keys and other lists are walked. Every
-    other value goes through ``json.dumps(indent=2)``, among them dicts with
-    an int key, which ``json.dumps`` quotes only when it encodes the dict.
+    Lists of numbers and lists of lists of numbers, and 1-d and 2-d numeric
+    arrays in row blocks of about ``_BLOCK_VALUES`` values, the bulk of
+    graph and model files, go through the C encoder's compact form. Dicts
+    with only str keys, other lists and other arrays, as lists, are walked.
+    Every other value goes through ``json.dumps(indent=2)``, among them
+    dicts with an int key, which ``json.dumps`` quotes only when it encodes
+    the dict.
     """
     inner = indent + "  "
     if type(v) is dict and v and all(type(k) is str for k in v):
-        items = (f"{inner}{json.dumps(k)}: {_json_value(x, inner)}" for k, x in v.items())
-        return "{\n" + ",\n".join(items) + "\n" + indent + "}"
-    if _is_number_list(v):
-        body = json.dumps(v)[1:-1].replace(", ", ",\n" + inner)
-        return "[\n" + inner + body + "\n" + indent + "]"
-    if type(v) is list and v:
-        if all(_is_number_list(x) for x in v):
-            row = inner + "  "
-            body = (
-                json.dumps(v)[2:-2]
-                .replace("], [", f"\n{inner}],\n{inner}[\n{row}")
-                .replace(", ", ",\n" + row)
-            )
-            return f"[\n{inner}[\n{row}{body}\n{inner}]\n{indent}]"
-        return "[\n" + ",\n".join(inner + _json_value(x, inner) for x in v) + "\n" + indent + "]"
-    return json.dumps(v, indent=2).replace("\n", "\n" + indent)
+        yield "{"
+        for i, (k, x) in enumerate(v.items()):
+            yield f"{',' if i else ''}\n{inner}{json.dumps(k)}: "
+            yield from _json_parts(x, inner)
+        yield "\n" + indent + "}"
+    elif isinstance(v, np.ndarray) and v.dtype.kind in "biuf" and v.ndim in (1, 2) and v.size:
+        rows = max(1, _BLOCK_VALUES // v[0].size)
+        blocks = (json.dumps(v[i:i + rows].tolist()) for i in range(0, len(v), rows))
+        yield from _compact_parts(blocks, v.ndim == 2, indent)
+    elif isinstance(v, np.ndarray):
+        yield from _json_parts(v.tolist(), indent)
+    elif _is_number_list(v) or (type(v) is list and v and all(map(_is_number_list, v))):
+        yield from _compact_parts([json.dumps(v)], type(v[0]) is list, indent)
+    elif type(v) is list and v:
+        yield "["
+        for i, x in enumerate(v):
+            yield f"{',' if i else ''}\n{inner}"
+            yield from _json_parts(x, inner)
+        yield "\n" + indent + "]"
+    else:
+        yield json.dumps(v, indent=2, default=np.ndarray.tolist).replace("\n", "\n" + indent)
+
+
+def _compact_parts(blocks: Iterable[str], nested: bool, indent: str) -> Iterator[str]:
+    """One list laid out as ``json.dumps(indent=2)`` at nesting ``indent``,
+    from ``blocks``: the compact ``json.dumps`` of consecutive nonempty
+    pieces of it, lists of numbers or, when ``nested``, of nonempty lists of
+    numbers. It re-indents them by replacing the compact separators, as
+    number tokens contain neither ``, `` nor ``], [``."""
+    inner = indent + "  "
+    if nested:
+        row = inner + "  "
+        head, between, tail = f"[\n{inner}[\n{row}", f"\n{inner}],\n{inner}[\n{row}", f"\n{inner}]\n{indent}]"
+    else:
+        row = inner
+        head, between, tail = "[\n" + inner, ",\n" + inner, "\n" + indent + "]"
+    yield head
+    for i, text in enumerate(blocks):
+        if i:
+            yield between
+        yield text[1 + nested:-1 - nested].replace("], [", between).replace(", ", ",\n" + row)
+    yield tail
 
 
 def dumps_json(obj) -> str:
-    """``json.dumps(obj, indent=2)`` plus a final newline, byte for byte."""
-    return _json_value(obj, "") + "\n"
+    """``json.dumps(obj, indent=2, default=np.ndarray.tolist)`` plus a final
+    newline, byte for byte."""
+    return "".join(_json_parts(obj, "")) + "\n"
 
 
 def write_json(path: str | Path, obj) -> None:
-    atomic_write_text(path, dumps_json(obj))
+    """Write ``dumps_json(obj)`` to ``path`` atomically, part by part as it
+    is formatted, so the whole text is never held."""
+    atomic_write_text(path, chain(_json_parts(obj, ""), ["\n"]))
 
 
 def read_json(path: str | Path):
@@ -153,7 +188,7 @@ def _order_from_dict(d: dict, p: int, where: str) -> tuple[int, ...] | None:
 
 
 def graph_to_dict(g: Dag, order: tuple[int, ...] | None = None, **extra) -> dict:
-    d: dict = {"p": g.p, "edges": g._ends.tolist()}
+    d: dict = {"p": g.p, "edges": g._ends}
     if order is not None:
         d["order"] = list(order)
     d.update(extra)
@@ -196,9 +231,9 @@ def model_to_dict(
     return {
         "p": params.g.p,
         "order": list(order) if order is not None else list(range(1, params.g.p + 1)),
-        "B": np.asarray(params.B, dtype=float).tolist(),
-        "omega": np.asarray(params.omega, dtype=float).tolist(),
-        "R": np.asarray(R, dtype=float).tolist(),
+        "B": np.asarray(params.B, dtype=float),
+        "omega": np.asarray(params.omega, dtype=float),
+        "R": np.asarray(R, dtype=float),
         "method": method,
         "seed": seed,
         **extra,
@@ -241,8 +276,8 @@ def model_from_dict(d: dict, where: str = "model") -> ModelRecord:
 def pdag_to_dict(est, **extra) -> dict:
     return {
         "p": est.p,
-        "directed": [list(e) for e in sorted(est.directed)],
-        "undirected": [list(e) for e in sorted(est.undirected)],
+        "directed": est._directed.tolist(),
+        "undirected": est._undirected.tolist(),
         **extra,
     }
 

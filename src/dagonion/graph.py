@@ -10,7 +10,8 @@ preserves that property; label shuffling deliberately breaks it.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -28,71 +29,112 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Dag:
+class _Graph:
+    """What ``Dag`` and ``Pdag`` share: repr and hash of a frozen dataclass
+    whose fields are ``_fields``, and its refusal of assignment and deletion.
+    Equality and pickling go by p and the ``_arrays`` that the constructor
+    takes in place of the other fields: equality builds no frozenset, and a
+    copy builds its own from the sorted array, so its repr lists the pairs
+    in the same order."""
+
+    _fields: tuple[str, ...]
+    _arrays: tuple[str, ...]
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.p == other.p and all(
+            np.array_equal(getattr(self, k), getattr(other, k)) for k in self._arrays
+        )
+
+    def __hash__(self) -> int:
+        return hash(tuple(getattr(self, f) for f in self._fields))
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({args})"
+
+    def __reduce__(self):
+        return type(self), (self.p, *(getattr(self, k) for k in self._arrays))
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class Dag(_Graph):
     """A directed acyclic graph on vertices 1..p.
 
     ``edges`` holds ``(parent, child)`` pairs, as an iterable or an (m, 2)
     integer array. Construction validates p, the pairs (``_edge_array``) and
     acyclicity (a cycle raises :class:`~dagonion.errors.CyclicGraphError`),
-    keeps p as a Python int and builds the frozenset of Python-int tuples
-    once, from the edge array in lexicographic order, whatever the input. It
-    keeps, outside eq, hash and repr, that read-only array ``_ends`` and the
-    source-first ``_order``.
+    and keeps p as a Python int, the read-only (m, 2) int64 array ``_ends``
+    of the pairs in lexicographic order and the source-first ``_order``.
+    The public ``edges``, a frozenset of Python-int tuples, is built from
+    ``_ends`` on first access and kept; eq, hash and repr are those of a
+    frozen dataclass with fields p and edges.
     """
 
-    p: int
-    edges: frozenset[tuple[int, int]] = field(default_factory=frozenset)
-    _ends: np.ndarray = field(init=False, repr=False, compare=False)
-    _order: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _fields = ("p", "edges")
+    _arrays = ("_ends",)
 
-    def __post_init__(self) -> None:
-        p = _vertex_count(self.p)
-        ends, _, edges = _sorted_pairs(_edge_array(self.edges, p), p)  # raises on a bad label
+    def __init__(self, p: int, edges=frozenset()) -> None:
+        p = _vertex_count(p)
+        ends, _ = _sorted_pairs(_edge_array(edges, p), p)  # raises on a bad label
         object.__setattr__(self, "p", p)
-        object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "_ends", ends)
         object.__setattr__(self, "_order", _walk_source_first(p, ends))
 
+    @cached_property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        return _pair_set(self._ends)
+
     @property
     def num_edges(self) -> int:
-        return len(self.edges)
+        return len(self._ends)
 
 
-@dataclass(frozen=True)
-class Pdag:
+class Pdag(_Graph):
     """A partially directed graph: directed plus undirected edges.
 
     ``directed`` holds (parent, child) pairs; ``undirected`` holds unordered
     pairs. Each is an iterable of pairs or an (m, 2) integer array, checked,
-    like p, as a Dag's are. Construction builds each frozenset once, as a
-    Dag's, of Python-int tuples with undirected pairs as (min, max); it
-    keeps the sorted codes of both outside eq, hash and repr. It also raises
-    ValueError for a pair in both directions of ``directed``, or a pair in
-    both sets (in either orientation). Full equivalence-class semantics are
-    not enforced; this is a container for estimated structures.
+    like p, as a Dag's are. Construction keeps, as a Dag does, the read-only
+    sorted arrays ``_directed`` and ``_undirected``, the latter of (min, max)
+    rows, and their sorted codes; the public frozensets of Python-int tuples
+    are built from the arrays on first access. It raises ValueError for a
+    pair in both directions of ``directed``, or a pair in both sets (in
+    either orientation). Full equivalence-class semantics are not enforced;
+    this is a container for estimated structures.
     """
 
-    p: int
-    directed: frozenset[tuple[int, int]] = field(default_factory=frozenset)
-    undirected: frozenset[tuple[int, int]] = field(default_factory=frozenset)
-    _directed_codes: np.ndarray = field(init=False, repr=False, compare=False)
-    _undirected_codes: np.ndarray = field(init=False, repr=False, compare=False)
+    _fields = ("p", "directed", "undirected")
+    _arrays = ("_directed", "_undirected")
 
-    def __post_init__(self) -> None:
-        p = _vertex_count(self.p)
-        d, dcode, directed = _sorted_pairs(_edge_array(self.directed, p), p)
-        _, ucode, undirected = _sorted_pairs(np.sort(_edge_array(self.undirected, p), axis=1), p)
+    def __init__(self, p: int, directed=frozenset(), undirected=frozenset()) -> None:
+        p = _vertex_count(p)
+        d, dcode = _sorted_pairs(_edge_array(directed, p), p)
+        u, ucode = _sorted_pairs(np.sort(_edge_array(undirected, p), axis=1), p)
         if len(np.intersect1d(dcode, _codes(d[:, ::-1], p), assume_unique=True)):
             raise ValueError("a pair appears in both directions of directed")
         # With no pair in both directions, the (min, max) codes are unique too.
         if len(np.intersect1d(_codes(np.sort(d, axis=1), p), ucode, assume_unique=True)):
             raise ValueError("a pair appears in both directed and undirected sets")
         object.__setattr__(self, "p", p)
-        object.__setattr__(self, "directed", directed)
-        object.__setattr__(self, "undirected", undirected)
+        object.__setattr__(self, "_directed", d)
+        object.__setattr__(self, "_undirected", u)
         object.__setattr__(self, "_directed_codes", dcode)
         object.__setattr__(self, "_undirected_codes", ucode)
+
+    @cached_property
+    def directed(self) -> frozenset[tuple[int, int]]:
+        return _pair_set(self._directed)
+
+    @cached_property
+    def undirected(self) -> frozenset[tuple[int, int]]:
+        return _pair_set(self._undirected)
 
 
 def _parent_slices(g: Dag, rank: np.ndarray) -> tuple[list[int], np.ndarray]:
@@ -245,15 +287,20 @@ def _edge_array(edges, p: int) -> np.ndarray:
     return ends
 
 
-def _sorted_pairs(ends: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, frozenset]:
+def _sorted_pairs(ends: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     """The rows of ``ends`` by ascending code without repeats and their codes,
-    both read-only, and the frozenset of those rows as Python-int tuples."""
+    both read-only."""
     code = _codes(ends, p)
     order = np.argsort(code)
     order = order[np.diff(code[order], prepend=-1) != 0]  # codes are positive
     ends, code = ends[order], code[order]
     ends.flags.writeable = code.flags.writeable = False
-    return ends, code, frozenset(zip(*ends.T.tolist()))
+    return ends, code
+
+
+def _pair_set(ends: np.ndarray) -> frozenset[tuple[int, int]]:
+    """The rows of ``ends`` as a frozenset of Python-int tuples, inserted in row order."""
+    return frozenset(zip(*ends.T.tolist()))
 
 
 def _codes(ends: np.ndarray, p: int) -> np.ndarray:

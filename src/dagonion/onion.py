@@ -107,11 +107,13 @@ def dao_sample(
             z, info = lapack.dtrtrs(L.T, w, lower=0)
             if info != 0:
                 raise CholeskyFailure(f"parent block of vertex {v + 1} has a singular root")
-        # Columns of vertices not yet placed are unfilled; keep only prev.
-        prev = walk[:i]
-        r = (z @ rows)[prev]
-        R[v, prev] = r
-        R[prev, v] = r
+        # Rows of placed vertices are zero in the columns of vertices not yet
+        # placed, v's own among them, so r is zero there too; each of those
+        # columns is written whole when its vertex is placed.
+        r = z @ rows
+        R[v] = r
+        R[:, v] = r
+        R[v, v] = 1.0
         coef[a:b] = z
         omega[v] = 1.0 - float(w @ w)
     B = np.zeros((p, p))

@@ -391,18 +391,18 @@ class TestBench:
         # Each Dag walks its source-first order once, when it is built; the
         # pipeline reads the kept order instead of walking again.
         counts = dict(walks=0, dags=0)
-        walk, post_init = graph._walk_source_first, Dag.__post_init__
+        walk, init = graph._walk_source_first, Dag.__init__
 
         def counted_walk(*args):
             counts["walks"] += 1
             return walk(*args)
 
-        def counted_post_init(g):
+        def counted_init(g, *args):
             counts["dags"] += 1
-            post_init(g)
+            init(g, *args)
 
         monkeypatch.setattr(graph, "_walk_source_first", counted_walk)
-        monkeypatch.setattr(Dag, "__post_init__", counted_post_init)
+        monkeypatch.setattr(Dag, "__init__", counted_init)
         serial_bench(monkeypatch)
         assert run("bench", "--reps", 3, "--p-list", 12, "--avg-degree", 3,
                    "--shapes", "er,sfi,sf-both", "--methods", "dao,zarx,tetrad-std",
@@ -416,7 +416,7 @@ class TestBench:
         # side, when built; compare_graphs reads the codes they keep.
         counts = dict(arrays=0, in_compare=0, dags=0, pdags=0)
         edge_array, compare = graph._edge_array, cli.compare_graphs
-        dag_init, pdag_init = Dag.__post_init__, Pdag.__post_init__
+        dag_init, pdag_init = Dag.__init__, Pdag.__init__
 
         def counted_edge_array(*args):
             counts["arrays"] += 1
@@ -429,16 +429,16 @@ class TestBench:
             finally:
                 counts["in_compare"] += counts["arrays"] - before
 
-        def counted(kind, post_init):
-            def wrapper(obj):
+        def counted(kind, init):
+            def wrapper(obj, *args):
                 counts[kind] += 1
-                post_init(obj)
+                init(obj, *args)
             return wrapper
 
         monkeypatch.setattr(graph, "_edge_array", counted_edge_array)
         monkeypatch.setattr(cli, "compare_graphs", flagged_compare)
-        monkeypatch.setattr(Dag, "__post_init__", counted("dags", dag_init))
-        monkeypatch.setattr(Pdag, "__post_init__", counted("pdags", pdag_init))
+        monkeypatch.setattr(Dag, "__init__", counted("dags", dag_init))
+        monkeypatch.setattr(Pdag, "__init__", counted("pdags", pdag_init))
         serial_bench(monkeypatch)
         assert run("bench", "--reps", 2, "--p-list", 8, "--avg-degree", 2,
                    "--shapes", "er,sfi", "--methods", "dao,zarx",

@@ -40,7 +40,7 @@ from dagonion.fileio import (
     write_dataset,
     write_json,
 )
-from util import loop_int_pairs, loop_write_dataset, sha256_bytes
+from util import loop_int_pairs, loop_write_dataset, sha256_bytes, traced_peak
 
 
 class TestAtomicWrite:
@@ -107,7 +107,7 @@ class TestGraphFormat:
             g = er_dag(p, degree, rng)
             for h in (g, sfi_rewire(g, rng)):
                 h, _ = shuffle_labels(h, rng)
-                edges = graph_to_dict(h)["edges"]
+                edges = graph_to_dict(h)["edges"].tolist()
                 assert edges == [list(e) for e in sorted(h.edges)]
                 assert all(type(x) is int for e in edges for x in e)
 
@@ -500,10 +500,25 @@ class TestDatasetWriter:
         assert list(tmp_path.iterdir()) == []
 
 
+_SPECIAL_FLOATS = _EDGE_FLOATS + (float("nan"), float("inf"), float("-inf"))
+
+
+def _arrays():
+    """Empty to 12 x 5 float, int and bool arrays of one or two dimensions."""
+    shapes = hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=12).filter(
+        lambda shape: shape[1:] <= (5,)
+    )
+    floats = st.one_of(st.floats(), st.sampled_from(_SPECIAL_FLOATS))
+    return st.one_of(
+        hnp.arrays(st.sampled_from([np.float64, np.float32]), shapes, elements=floats),
+        hnp.arrays(st.sampled_from([np.int64, np.int32, np.uint64, np.bool_]), shapes),
+    )
+
+
 def _json_trees():
     numbers = st.one_of(st.integers(), st.floats(), st.sampled_from(_EDGE_FLOATS))
     texts = st.one_of(st.text(max_size=8), st.sampled_from([", ", "], [", "[[1, 2], [3]]", "\n"]))
-    scalars = st.one_of(st.none(), st.booleans(), numbers, texts)
+    scalars = st.one_of(st.none(), st.booleans(), numbers, texts, _arrays())
     return st.recursive(
         scalars,
         lambda kids: st.one_of(
@@ -520,11 +535,43 @@ def _json_trees():
     )
 
 
+def _assert_json_dumps_bytes(path, obj) -> None:
+    text = json.dumps(obj, indent=2, default=np.ndarray.tolist) + "\n"
+    assert dumps_json(obj) == text
+    write_json(path, obj)
+    assert path.read_bytes() == text.encode()
+
+
 class TestJsonWriter:
+    # Arrays are written in row blocks of about _BLOCK_VALUES values; it is
+    # lowered so that small arrays span one or several blocks, with row
+    # counts on both sides of a block's.
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(_json_trees())
     @example({"a": [{1: [1.5, {"b": None}]}], "c": {"d": {2: {"e": [[1, 2]]}}}})
-    def test_matches_json_dumps(self, obj):
-        assert dumps_json(obj) == json.dumps(obj, indent=2) + "\n"
+    @example({"B": np.reshape(_SPECIAL_FLOATS, (-1, 1)), 1: [np.arange(6).reshape(2, 3)]})
+    def test_matches_json_dumps(self, tmp_path, monkeypatch, obj):
+        monkeypatch.setattr(fileio, "_BLOCK_VALUES", 5)
+        _assert_json_dumps_bytes(tmp_path / "x.json", obj)
+
+    @pytest.mark.parametrize("shape", [(1,), (1, 1), (1 << 15,), ((1 << 15) + 1,),
+                                       (9, 1 << 12), (3, (1 << 15) + 1)], ids=str)
+    def test_arrays_across_real_blocks(self, tmp_path, shape):
+        rng = np.random.default_rng(len(shape))
+        values = rng.standard_normal(shape) * np.exp(rng.uniform(-300, 300, shape))
+        values.flat[:len(_SPECIAL_FLOATS)] = _SPECIAL_FLOATS[:values.size]
+        ints = rng.integers(-(1 << 63), (1 << 63) - 1, shape, endpoint=True)
+        _assert_json_dumps_bytes(tmp_path / "x.json", {"R": values, "i": [ints]})
+
+    def test_model_file_memory_budget(self, tmp_path):
+        # The matrices are laid out block by block: writing a model file
+        # builds no nested list of them and no whole-file text.
+        rng = np.random.default_rng(7)
+        R, params = dao_sample(er_dag(600, 10, rng), rng)
+        peak = traced_peak(
+            lambda: write_json(tmp_path / "m.json", model_to_dict(params, R, "dao", 7, None))
+        )
+        assert peak < 2 * (params.B.nbytes + R.nbytes)
 
     def test_pipeline_files_match_json_dumps(self, tmp_path):
         rng = np.random.default_rng(6)
@@ -547,4 +594,4 @@ class TestJsonWriter:
                          "--manifest", str(manifest)]) == 0
         objs += [read_json(manifest), read_json(tmp_path / "model.json")]
         for obj in objs:
-            assert dumps_json(obj) == json.dumps(obj, indent=2) + "\n"
+            assert dumps_json(obj) == json.dumps(obj, indent=2, default=np.ndarray.tolist) + "\n"

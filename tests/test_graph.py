@@ -1,5 +1,8 @@
+import copy
+import pickle
 import re
 from collections import Counter
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -35,6 +38,7 @@ from util import (
     parents,
     scalar_draw_rewire,
     shuffled_pair_array,
+    traced_kept,
     triu_er_dag,
 )
 
@@ -180,6 +184,56 @@ class TestArrayInput:
     def test_rejects_cyclic_array(self):
         with pytest.raises(CyclicGraphError):
             Dag(3, np.array([[1, 2], [2, 3], [3, 1]]))
+
+
+def _dense_rows() -> np.ndarray:
+    """The 40,000 edges of a shuffled p = 400, degree-200 graph, rows shuffled."""
+    rng = np.random.default_rng(25)
+    g, _ = shuffle_labels(er_dag(400, 200, rng), rng)
+    return rng.permutation(g._ends)
+
+
+_LAZY = {
+    "dag": (lambda e: Dag(400, e), ("edges",)),
+    "pdag": (lambda e: Pdag(400, e[::2], e[1::2]), ("directed", "undirected")),
+}
+
+
+@pytest.mark.parametrize("build, sets", _LAZY.values(), ids=_LAZY)
+class TestLazyEdgeSets:
+    """Dag and Pdag keep their edges as arrays; each public frozenset is
+    built on first access and kept."""
+
+    def test_arrays_alone_until_a_set_is_read(self, build, sets):
+        rows = _dense_rows()
+        g, kept = traced_kept(build, rows)
+        assert kept < 2 * 16 * len(rows)
+        assert not set(sets) & set(vars(g))
+        got = [getattr(g, name) for name in sets]
+        assert sum(map(len, got)) == len(rows)
+        assert all(getattr(g, name) is s for name, s in zip(sets, got))
+
+    @pytest.mark.parametrize("read_first", [False, True], ids=["unread", "read"])
+    def test_pickle_and_deepcopy_round_trips(self, build, sets, read_first):
+        g = build(_dense_rows()[:300])
+        if read_first:
+            [getattr(g, name) for name in sets]
+        copies = [pickle.loads(pickle.dumps(g, proto)) for proto in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for h in copies + [copy.deepcopy(g)]:
+            # A copy is built from the arrays alone and keeps them read-only.
+            assert not set(sets) & set(vars(h))
+            assert not any(getattr(h, k).flags.writeable for k in type(h)._arrays)
+            # A frozenset's repr follows its insertion order, so a copy of
+            # the set itself could list the pairs in another order.
+            assert h == g and hash(h) == hash(g) and repr(h) == repr(g)
+
+    def test_frozen(self, build, sets):
+        g = build(_dense_rows()[:10])
+        for name in ("p", *sets):
+            with pytest.raises(FrozenInstanceError, match=f"cannot assign to field '{name}'"):
+                setattr(g, name, getattr(g, name))
+            with pytest.raises(FrozenInstanceError, match=f"cannot delete field '{name}'"):
+                delattr(g, name)
 
 
 def test_pdag_is_one_class_in_graph():

@@ -437,6 +437,20 @@ def traced_peak(f, *args) -> int:
             tracemalloc.stop()
 
 
+def traced_kept(f, *args):
+    """``f(*args)`` and the bytes that ``tracemalloc`` sees still allocated
+    once it returns, beyond those allocated before: what the result holds."""
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = f(*args)
+        return out, tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
 def refit_standardize(params: SemParameters) -> SemParameters:
     """Refit the model to its implied correlation matrix: the oracle for
     ``standardize``, which rescales B and omega instead."""
