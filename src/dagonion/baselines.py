@@ -28,19 +28,9 @@ from .metrics import (
 )
 from .simdata import Dataset
 
-__all__ = ["sort_regress", "var_sort_regress", "r2_sort_regress"]
+__all__ = ["var_sort_regress", "r2_sort_regress"]
 
 DEFAULT_THRESHOLD = 0.1
-
-
-def sort_regress(d: Dataset, scores: np.ndarray, threshold: float) -> Pdag:
-    """Order the columns by ascending ``scores``, then regress and threshold.
-
-    Equal scores keep the column order. Raises RankDeficientDataError when
-    n <= p or a column is constant, then ValueError for a negative or NaN
-    threshold, then RankDeficientDataError for collinear predecessors.
-    """
-    return _sort_regress_from_factor(d.n, _data_factor(d), scores, threshold)
 
 
 def _require_threshold(threshold: float) -> None:
@@ -51,8 +41,11 @@ def _require_threshold(threshold: float) -> None:
 def _sort_regress_from_factor(
     n: int, R: np.ndarray, scores: np.ndarray, threshold: float
 ) -> Pdag:
-    """sort_regress from the p x p data factor R of ``_data_factor(d)``,
-    with n = ``d.n``."""
+    """Order the columns by ascending ``scores``, then regress and threshold,
+    from R = ``_data_factor(d)`` and n = ``d.n``; equal scores keep the
+    column order. After ``_data_factor``'s RankDeficientDataError (n <= p or
+    a constant column), raises ValueError for a negative or NaN threshold,
+    then RankDeficientDataError for collinear predecessors."""
     from scipy.linalg import solve_triangular
 
     _require_threshold(threshold)
@@ -70,7 +63,8 @@ def _sort_regress_from_factor(
 
 def var_sort_regress(d: Dataset, threshold: float = DEFAULT_THRESHOLD) -> Pdag:
     """Order by ascending sample variance, then regress and threshold."""
-    return sort_regress(d, varsortability_scores(d), threshold)
+    scores = varsortability_scores(d)  # first, so n < 2 is a ValueError
+    return _sort_regress_from_factor(d.n, _data_factor(d), scores, threshold)
 
 
 def r2_sort_regress(d: Dataset, threshold: float = DEFAULT_THRESHOLD) -> Pdag:

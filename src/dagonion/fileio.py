@@ -45,7 +45,6 @@ __all__ = [
     "model_to_dict",
     "model_from_dict",
     "ModelRecord",
-    "pdag_to_dict",
     "pdag_from_dict",
     "write_dataset",
     "read_dataset",
@@ -271,15 +270,6 @@ def model_from_dict(d: dict, where: str = "model") -> ModelRecord:
     method = d["method"]
     _require(isinstance(method, str), where, f'bad "method": {method!r}')
     return ModelRecord(params=params, R=R, method=method, seed=seed, order=order)
-
-
-def pdag_to_dict(est, **extra) -> dict:
-    return {
-        "p": est.p,
-        "directed": est._directed.tolist(),
-        "undirected": est._undirected.tolist(),
-        **extra,
-    }
 
 
 def pdag_from_dict(d: dict, where: str = "pdag") -> Pdag:

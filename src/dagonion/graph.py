@@ -205,11 +205,12 @@ def _rewire(g: Dag, rng: np.random.Generator, *, forward: bool) -> Dag:
 
     ``forward`` walks 1..p and redraws each vertex's parents among j < i
     (sfo); otherwise it walks p..1 and redraws children among j > i (sfi).
-    A chosen candidate's weight drops to 0.0, which leaves every cumulative
-    sum bit-identical to the one over the remaining candidates and is never
-    picked, so each draw equals a pick from the shrinking candidate list.
-    Only picked vertices gain degree, and each is out of the current
-    vertex's candidates, so the weights are copied once per vertex.
+    The weights are summed cumulatively once per vertex; a pick subtracts
+    its weight from its own and every later sum. The sums are integers below
+    2**53, so each draw sees the sums over the remaining candidates bit for
+    bit, and a picked slot is a flat step that ``searchsorted(side="right")``
+    never lands on. Only picked vertices gain degree, and each is out of the
+    current vertex's candidates, so the weights are copied once per vertex.
     """
     p = g.p
     ends = g._ends
@@ -229,10 +230,10 @@ def _rewire(g: Dag, rng: np.random.Generator, *, forward: bool) -> Dag:
             continue
         lo, hi = (1, i) if forward else (i + 1, p + 1)
         w = 1.0 + deg[lo:hi]
+        cum = w.cumsum()
         for _ in range(need[i]):
-            cum = w.cumsum()
             k = int(cum.searchsorted(next(u) * cum[-1], side="right"))
-            w[k] = 0.0
+            cum[k:] -= w[k]
             j = lo + k
             deg[j] += 1.0
             edges.extend((j, i) if forward else (i, j))

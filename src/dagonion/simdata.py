@@ -18,14 +18,19 @@ _BLOCK = 256  # columns of simulate's output filled per row gather
 
 @dataclass
 class Dataset:
-    """An n x p data matrix with column names and generation metadata."""
+    """An n x p data matrix with column names and generation metadata.
+
+    ``values`` is kept as a C-ordered float array, copied from any other:
+    numpy sums a C-ordered column row by row and an F-ordered one pairwise,
+    so column means, and every statistic after them, would depend on the
+    layout."""
 
     values: np.ndarray
     names: tuple[str, ...]
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=float)
+        values = np.asarray(self.values, dtype=float, order="C")
         if values.ndim != 2:
             raise ValueError(f"values must be 2-d, got shape {values.shape}")
         if values.shape[0] < 1:
@@ -94,9 +99,7 @@ def simulate(
             W[j] += coef[a:b] @ W[prow[a:b]]
     if not np.isfinite(W).all():
         raise NumericalError("simulated data overflowed to non-finite values")
-    # C-ordered, as column means, and with them the bench tables, depend on
-    # the memory layout in the last bit. Filled _BLOCK columns at a time
-    # from row gathers of W, so that no full-size temporary is made.
+    # C-ordered, as Dataset keeps it, and built by blocks: no full-size temporary.
     X = np.empty((n, p))
     for c in range(0, p, _BLOCK):
         X[:, c:c + _BLOCK] = W[pos[c:c + _BLOCK]].T

@@ -22,7 +22,6 @@ from dagonion import (
     zarx_params,
 )
 from dagonion import baselines, metrics
-from dagonion.baselines import sort_regress
 from util import (
     DEGENERATE,
     data_qr_sort_regress,
@@ -30,6 +29,7 @@ from util import (
     lstsq_sort_regress,
     mixed_data,
     model_data,
+    sort_regress,
 )
 
 
@@ -64,8 +64,8 @@ class TestSortRegress:
             var_sort_regress(_independent_data(n=50, p=3, seed=3), threshold=-1.0)
 
     def test_bad_threshold_versus_rank_deficiency(self):
-        # A bad threshold is checked before the predecessor pivots in
-        # sort_regress and var_sort_regress, and after the R^2 scores in
+        # A bad threshold is checked before the predecessor pivots in the
+        # learners' core and var_sort_regress, and after the R^2 scores in
         # r2_sort_regress.
         rng = np.random.default_rng(3)
         x = rng.standard_normal(50)

@@ -563,6 +563,18 @@ class TestBench:
         assert run(*FAILING_GRID, "--out", tmp_path / "r.csv") == 0
         assert out.read_bytes() == (tmp_path / "r.csv").read_bytes()
 
+    def test_worker_count_is_one_in_daemonic_process(self):
+        ctx = mp.get_context("fork")
+        recv, send = ctx.Pipe(duplex=False)
+        proc = ctx.Process(
+            target=lambda: send.send(workers.worker_count(10**6)), daemon=True)
+        proc.start()
+        try:
+            assert recv.poll(60) and recv.recv() == 1
+        finally:
+            proc.join(timeout=60)
+        assert proc.exitcode == 0
+
     def test_no_stderr_without_failures(self, tmp_path, capsys):
         assert run(*GOLDEN_GRID, "--out", tmp_path / "r.csv") == 0
         assert capsys.readouterr().err == ""

@@ -33,14 +33,13 @@ from dagonion.fileio import (
     model_from_dict,
     model_to_dict,
     pdag_from_dict,
-    pdag_to_dict,
     read_dataset,
     read_json,
     sha256_file,
     write_dataset,
     write_json,
 )
-from util import loop_int_pairs, loop_write_dataset, sha256_bytes, traced_peak
+from util import loop_int_pairs, loop_write_dataset, pdag_dict, sha256_bytes, traced_peak
 
 
 class TestAtomicWrite:
@@ -304,7 +303,7 @@ class TestModelFormat:
 class TestPdagFormat:
     def test_round_trip(self):
         est = Pdag(4, frozenset({(2, 1)}), frozenset({(3, 4)}))
-        back = pdag_from_dict(pdag_to_dict(est))
+        back = pdag_from_dict(pdag_dict(est))
         assert back == est
 
     def test_invalid_overlap(self):
@@ -582,8 +581,8 @@ class TestJsonWriter:
         objs = [
             graph_to_dict(g, order, seed=6, shuffled=True, applied=["er", "sfi"]),
             model_to_dict(params, R, "dao", 6, order, graph_sha256="ab" * 32),
-            pdag_to_dict(est),
-            pdag_to_dict(Pdag(3, frozenset(), frozenset())),
+            pdag_dict(est),
+            pdag_dict(Pdag(3, frozenset(), frozenset())),
             {**d.meta, "names": list(d.names), "order": list(order)},
         ]
         graph_path = tmp_path / "g.json"

@@ -83,6 +83,9 @@ class TestDagKeptArrays:
         assert g == h and hash(g) == hash(h) and {g: 1}[h] == 1
         assert repr(g) == f"Dag(p=4, edges={g.edges!r})"
         assert g != Dag(4, frozenset({(1, 2)}))
+        # Each side's __eq__ returns NotImplemented, so == falls back to identity.
+        assert Dag(2).__eq__(Pdag(2)) is NotImplemented
+        assert Dag(2) != Pdag(2) and Pdag(2) != Dag(2)
 
     def test_empty_graph(self):
         g = Dag(3)

@@ -341,6 +341,11 @@ class TestPopulationR2:
         with pytest.raises(SingularMatrixError):
             population_r2(np.ones((3, 3)))
 
+    @pytest.mark.parametrize("shape", [(2, 3), (3,)])
+    def test_non_square_matrix(self, shape):
+        with pytest.raises(ValueError, match="square"):
+            population_r2(np.ones(shape))
+
 
 class TestSampleR2:
     def test_consistency(self):

@@ -13,13 +13,18 @@ from dagonion import (
     dao_sample,
     er_dag,
     implied_covariance,
+    r2_sort_regress,
+    sample_r2,
     sfi_rewire,
     shuffle_labels,
     simulate,
     standardize_data,
     tetrad_params,
+    var_sort_regress,
+    varsortability_scores,
     zarx_params,
 )
+from dagonion.fileio import read_dataset, write_dataset
 from util import (
     GRAPH_KINDS,
     assert_same_bytes,
@@ -246,6 +251,48 @@ class TestDataset:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             Dataset(np.zeros((0, 2)), ("X1", "X2"))
+
+    def test_rejects_one_dimensional_values(self):
+        with pytest.raises(ValueError, match="2-d"):
+            Dataset(np.zeros(3), ("X1", "X2", "X3"))
+
+    def test_outputs_do_not_depend_on_the_layout(self):
+        # numpy sums a C-ordered column row by row but an F-ordered one
+        # pairwise; the means, and so every statistic below, agree bit for
+        # bit only because Dataset keeps one layout.
+        rng = np.random.default_rng(0)
+        n, p = 1000, 30
+        vals = rng.standard_normal((n, p)) * rng.uniform(0.5, 3.0, p) + rng.uniform(-5, 5, p)
+        wide = np.zeros((2 * n, 2 * p))
+        wide[::2, 1::2] = vals
+        names = tuple(f"X{j}" for j in range(1, p + 1))
+        c, *others = (Dataset(v, names) for v in (vals, np.asfortranarray(vals), wide[::2, 1::2]))
+        for d in others:
+            assert_same_bytes(
+                (sample_r2(d), sample_r2(c)),
+                (varsortability_scores(d), varsortability_scores(c)),
+                (standardize_data(d).values, standardize_data(c).values),
+            )
+            assert var_sort_regress(d) == var_sort_regress(c)
+            assert r2_sort_regress(d) == r2_sort_regress(c)
+
+    def test_keeps_the_arrays_it_is_built_from(self, tmp_path, monkeypatch):
+        # simulate, standardize_data and read_dataset build C-ordered float
+        # arrays, which Dataset keeps rather than copies.
+        given = []
+        post_init = Dataset.__post_init__
+
+        def recording_post_init(self):
+            given.append(self.values)
+            post_init(self)
+
+        monkeypatch.setattr(Dataset, "__post_init__", recording_post_init)
+        d = simulate(_independent_params(3), "exponential", 20, np.random.default_rng(5))
+        write_dataset(tmp_path / "d.csv", d)
+        built = [d, standardize_data(d), read_dataset(tmp_path / "d.csv")]
+        assert len(given) == 3
+        for out, values in zip(built, given):
+            assert out.values is values
 
 
 class TestStandardizeData:

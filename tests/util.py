@@ -37,8 +37,10 @@ from dagonion import (
     tetrad_params,
     zarx_params,
 )
+from dagonion.baselines import _sort_regress_from_factor
 from dagonion.fileio import atomic_write_text, meta_path
 from dagonion.graph import _parent_slices
+from dagonion.metrics import _data_factor
 
 
 def all_pairs(p: int) -> list[tuple[int, int]]:
@@ -190,6 +192,11 @@ def lstsq_sample_r2(d: Dataset) -> np.ndarray:
         resid = X[:, i] - rest @ coef
         r2[i] = 1.0 - (resid @ resid) / (X[:, i] @ X[:, i])
     return r2
+
+
+def sort_regress(d: Dataset, scores: np.ndarray, threshold: float) -> Pdag:
+    """The learners' shared core on ``d``, ordered by any ``scores``."""
+    return _sort_regress_from_factor(d.n, _data_factor(d), scores, threshold)
 
 
 def data_qr_sort_regress(d: Dataset, scores: np.ndarray, threshold: float) -> Pdag:
@@ -719,6 +726,15 @@ def scipy_sortability_rank_corr(scores, causal_index, *, largest_first: bool = F
 
 def sha256_bytes(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def pdag_dict(est: Pdag) -> dict:
+    """``est`` in the pdag layout that ``fileio.pdag_from_dict`` reads."""
+    return {
+        "p": est.p,
+        "directed": est._directed.tolist(),
+        "undirected": est._undirected.tolist(),
+    }
 
 
 def pdag_from_dag(g: Dag) -> Pdag:
